@@ -139,7 +139,7 @@ class KernelSanitizer:
         self._heap: List[tuple] = sim.queue._heap
         #: (callback-name pair) -> count, so each tie pair reports once
         self._tie_pairs: Dict[Tuple[str, str], int] = {}
-        #: id(resource) -> (time, event, op, label)
+        #: id(resource) -> (time, event seq, op, label)
         self._mutations: Dict[int, Tuple[float, Any, str, str]] = {}
         #: stream name -> (filename, function) of its first consumer
         self._stream_sites: Dict[str, Tuple[str, str]] = {}
@@ -210,12 +210,16 @@ class KernelSanitizer:
         key = id(obj)
         now = self.sim.now
         current = self._current_event
+        # events are told apart by their sequence number, not by object
+        # identity: the queue recycles call objects, so two events at
+        # one instant may well be dispatched from the same object
+        event = None if current is None else current.seq
         previous = self._mutations.get(key)
-        self._mutations[key] = (now, current, op, label)
+        self._mutations[key] = (now, event, op, label)
         if previous is None:
             return
         prev_time, prev_event, prev_op, _prev_label = previous
-        if prev_time == now and prev_event is not current \
+        if prev_time == now and prev_event != event \
                 and prev_op == op:
             name = label or type(obj).__name__
             self._record(

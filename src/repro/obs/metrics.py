@@ -359,7 +359,10 @@ class MetricsRegistry:
                 if gauge_rule == "adopt" or not known:
                     mine.value = theirs.value
                 else:
-                    mine.value = max(mine.value, theirs.value)
+                    # ``+ 0.0`` turns -0.0 into 0.0: max() returns its
+                    # first argument on ties, so merging 0.0 and -0.0
+                    # would otherwise depend on the merge order
+                    mine.value = max(mine.value, theirs.value) + 0.0
             else:
                 mine = self.histogram(
                     name, growth=theirs.growth, **dict(labels)

@@ -29,7 +29,11 @@ class SchedulingPolicy:
     quantum: Optional[float] = None
 
     def pick(self, ready: List[Job], now: float) -> Optional[Job]:
-        """Return the job that should occupy the core, or ``None``."""
+        """Return the job that should occupy the core, or ``None``.
+
+        ``ready`` may be the core's own ready queue: read it, never
+        mutate it.
+        """
         raise NotImplementedError
 
     def on_quantum_expired(self, job: Job, ready: List[Job]) -> None:
@@ -108,13 +112,15 @@ class Core:
             return
         self.ready.append(job)
         self._m_releases.inc()
-        self.sim.trace(
-            "os.release",
-            core=self.name,
-            task=job.task.name,
-            job=job.job_id,
-            deadline=job.absolute_deadline,
-        )
+        sim = self.sim
+        if sim.tracer.enabled:
+            sim.trace(
+                "os.release",
+                core=self.name,
+                task=job.task.name,
+                job=job.job_id,
+                deadline=job.absolute_deadline,
+            )
         self._reschedule()
 
     def submit_task_activation(self, task: TaskSpec, scaled_wcet: float) -> Job:
@@ -196,9 +202,10 @@ class Core:
         if self.halted:
             return
         self._sync_current()
-        candidates = list(self.ready)
-        if self.current is not None:
-            candidates.append(self.current)
+        # pick() only reads its list, so the ready queue goes in as is
+        # when nothing is running
+        current = self.current
+        candidates = self.ready if current is None else [*self.ready, current]
         choice = self.policy.pick(candidates, self.sim.now)
         if choice is not None and choice is self.current:
             if self._completion is None and self._quantum_call is None:
@@ -246,9 +253,11 @@ class Core:
         self._m_preemptions.inc()
         self.ready.append(job)
         self.current = None
-        self.sim.trace(
-            "os.preempt", core=self.name, task=job.task.name, job=job.job_id
-        )
+        sim = self.sim
+        if sim.tracer.enabled:
+            sim.trace(
+                "os.preempt", core=self.name, task=job.task.name, job=job.job_id
+            )
 
     def _start_running(self, job: Job) -> None:
         if job.start_time is None:
@@ -320,17 +329,20 @@ class Core:
         if limit is not None and len(self.completed_jobs) > limit:
             del self.completed_jobs[: len(self.completed_jobs) - limit]
         self._m_response.observe(job.response_time)
-        if job.missed_deadline:
+        missed = job.missed_deadline
+        if missed:
             self._m_misses.inc()
-        self.sim.trace(
-            "os.done",
-            core=self.name,
-            task=job.task.name,
-            job=job.job_id,
-            response=job.response_time,
-            missed=job.missed_deadline,
-            jitter=job.start_jitter,
-        )
+        sim = self.sim
+        if sim.tracer.enabled:
+            sim.trace(
+                "os.done",
+                core=self.name,
+                task=job.task.name,
+                job=job.job_id,
+                response=job.response_time,
+                missed=missed,
+                jitter=job.start_jitter,
+            )
         for listener in self._completion_listeners:
             listener(job)
 
@@ -394,7 +406,10 @@ class PeriodicSource:
             since = self.core.clock_drift_since
             if when > since:
                 when = since + (when - since) * (1.0 + drift)
-        self.sim.at(max(when, self.sim.now), self._activate, priority=PRIORITY_URGENT)
+        # nobody keeps the handle: release it to the event free list
+        self.sim.at(
+            max(when, self.sim.now), self._activate, priority=PRIORITY_URGENT
+        ).pooled = True
 
     def _activate(self) -> None:
         if self.stopped:

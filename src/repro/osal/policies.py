@@ -25,6 +25,12 @@ from .core import SchedulingPolicy
 from .task import Criticality, Job
 
 
+# module-level aliases: an Enum member lookup through its class costs
+# about ten times a global load, and pick() tests every ready job
+_DETERMINISTIC = Criticality.DETERMINISTIC
+_NON_DETERMINISTIC = Criticality.NON_DETERMINISTIC
+
+
 def _effective_priority(job: Job) -> float:
     """Explicit priority if set, else rate-monotonic (shorter period wins)."""
     if job.task.priority is not None:
@@ -177,24 +183,39 @@ class MixedCriticalityPolicy(SchedulingPolicy):
 
     def pick(self, ready: List[Job], now: float) -> Optional[Job]:
         self._charge_previous(now)
-        det = [j for j in ready if j.task.criticality is Criticality.DETERMINISTIC]
-        if det:
+        # one pass: the best deterministic job under the key
+        # (_effective_priority, release_time, job_id), inlined; the first
+        # of equal keys wins, as with ``min``.  The NDA list is built
+        # only once an NDA turns up.
+        best = None
+        best_key = None
+        nda = None
+        for job in ready:
+            task = job.task
+            criticality = task.criticality
+            if criticality is _DETERMINISTIC:
+                priority = task.priority
+                key = (
+                    task.period if priority is None else float(priority),
+                    job.release_time,
+                    job.job_id,
+                )
+                if best is None or key < best_key:
+                    best = job
+                    best_key = key
+            elif criticality is _NON_DETERMINISTIC:
+                if nda is None:
+                    nda = [job]
+                else:
+                    nda.append(job)
+        if best is not None:
             self.quantum = None
-            self._last_pick_nda = False
-            self._last_dispatch_time = None
-            return min(
-                det, key=lambda j: (_effective_priority(j), j.release_time, j.job_id)
-            )
-        nda = [j for j in ready if j.task.criticality is Criticality.NON_DETERMINISTIC]
-        if not nda:
-            self._last_pick_nda = False
-            self._last_dispatch_time = None
+            return best
+        if nda is None:
             return None
         if self.server is not None:
             budget = self.server.available(now)
             if budget <= 1e-12:
-                self._last_pick_nda = False
-                self._last_dispatch_time = None
                 return None
             self.quantum = min(self.nda_quantum, budget)
         else:

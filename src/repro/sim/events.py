@@ -8,11 +8,13 @@ insertion order, which makes every simulation run fully deterministic.
 Hot-path notes: the heap stores ``[time, priority, seq, call]`` *lists*,
 so every sift comparison runs in C and — because ``seq`` is unique —
 never falls through to comparing the call objects themselves.  Lists
-(not tuples) let a recycled call keep its heap entry across lives: the
-free-list pool (:meth:`EventQueue.push_pooled`) hands out previously
-dispatched fire-and-forget calls together with their entry, so the
-steady-state loop allocates nothing per event beyond the unavoidable
-time float and sequence int.  Cancelled entries are pruned eagerly once
+(not tuples) let a recycled call keep its heap entry across lives: every
+:meth:`EventQueue.push` takes a released call, together with its entry,
+from the queue's free list, so the steady-state loop allocates nothing
+per event beyond the unavoidable time float and sequence int.  A call
+returns to the free list only once its handle is released (its
+``pooled`` flag set and no reference kept), so a held handle is never
+reused under its holder.  Cancelled entries are pruned eagerly once
 they outnumber the live ones, so long campaigns that cancel many timers
 keep O(log live) heap operations.
 
@@ -48,8 +50,8 @@ class ScheduledCall:
     and may be cancelled before they fire via :meth:`cancel`.  Calls with
     :attr:`pooled` set are fire-and-forget: no caller holds their handle,
     so the kernel returns them to the queue's free list right after
-    dispatch (or when a cancelled one surfaces) and the next pooled push
-    reuses the object and its heap entry.
+    dispatch (or when a cancelled one surfaces) and the next push reuses
+    the object and its heap entry.
     """
 
     __slots__ = ("time", "priority", "seq", "callback", "args",
@@ -116,7 +118,7 @@ class EventQueue:
         self._pool: List[ScheduledCall] = []
         #: number of in-place compaction rebuilds performed (stats)
         self.compactions = 0
-        #: pooled pushes served from the free list / total object builds
+        #: pushes served from the free list / calls built because it was empty
         self.pool_reuses = 0
         self.pool_creations = 0
 
@@ -150,9 +152,6 @@ class EventQueue:
         state = self.__dict__.copy()
         state["_pool"] = []
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
     # -- cancellation & compaction ----------------------------------------
 
@@ -207,26 +206,12 @@ class EventQueue:
         args: tuple = (),
         priority: int = PRIORITY_NORMAL,
     ) -> ScheduledCall:
-        """Insert a call at ``time`` and return a cancellable handle."""
-        seq = next(self._counter)
-        call = ScheduledCall(time, priority, seq, callback, args, self)
-        entry = [time, priority, seq, call]
-        call._entry = entry
-        heapq.heappush(self._heap, entry)
-        return call
+        """Insert a call at ``time`` and return a cancellable handle.
 
-    def push_pooled(
-        self,
-        time: float,
-        callback: Callable[..., Any],
-        args: tuple = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> None:
-        """Insert a fire-and-forget call, reusing a recycled object.
-
-        No handle is returned — pooled calls cannot be cancelled by
-        callers, which is exactly what makes recycling them after
-        dispatch safe.
+        The call object and its heap entry come from the free list when
+        it has one.  The handle stays the caller's until it is released
+        by setting :attr:`ScheduledCall.pooled` and dropping every
+        reference; only then may the kernel recycle it.
         """
         seq = next(self._counter)
         pool = self._pool
@@ -238,7 +223,6 @@ class EventQueue:
             call.seq = seq
             call.callback = callback
             call.args = args
-            call.pooled = True
             call._queue = self
             entry = call._entry
             entry[0] = time
@@ -247,11 +231,26 @@ class EventQueue:
             entry[3] = call
         else:
             call = ScheduledCall(time, priority, seq, callback, args, self)
-            call.pooled = True
             entry = [time, priority, seq, call]
             call._entry = entry
             self.pool_creations += 1
         heapq.heappush(self._heap, entry)
+        return call
+
+    def push_pooled(
+        self,
+        time: float,
+        callback: Callable[..., Any],
+        args: tuple = (),
+        priority: int = PRIORITY_NORMAL,
+    ) -> None:
+        """Insert a fire-and-forget call: :meth:`push` with the handle
+        released up front, so the kernel recycles it after dispatch.
+
+        No handle is returned — pooled calls cannot be cancelled by
+        callers, which is exactly what makes recycling them safe.
+        """
+        self.push(time, callback, args, priority).pooled = True
 
     def recycle(self, call: ScheduledCall) -> None:
         """Return a dispatched (or dropped-cancelled) pooled call to the

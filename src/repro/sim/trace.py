@@ -98,9 +98,6 @@ class Tracer:
         state["_spill_file"] = None
         return state
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
     def record(self, time: float, category: str, fields: Dict[str, Any]) -> None:
         """Store one entry (and notify listeners) if recording is active."""
         if not self.enabled:

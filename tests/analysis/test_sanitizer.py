@@ -155,6 +155,36 @@ class TestSharedMutation:
         assert san.race_count == 1
         assert "crypto" in san.race_reports[0].detail
 
+    @staticmethod
+    def _put_chain(how):
+        """A puts, then hands off through B to C, which puts again at the
+        same instant.  With ``post`` every hop is pooled, so C is
+        dispatched from A's recycled call object."""
+        sim = Simulator()
+        store = Store(sim, name="mailbox")
+        schedule = getattr(sim, how)
+
+        def a():
+            store.put("a")
+            schedule(0.0, b)
+
+        def b():
+            schedule(0.0, c)
+
+        def c():
+            store.put("c")
+
+        with KernelSanitizer(sim) as san:
+            schedule(0.5, a)
+            sim.run()
+        return san.counts
+
+    def test_race_through_recycled_calls_detected(self):
+        assert self._put_chain("post") == {"shared_mutation": 1}
+
+    def test_race_through_held_handles_detected(self):
+        assert self._put_chain("schedule") == {"shared_mutation": 1}
+
     def test_detached_resource_pays_no_reports(self):
         sim = Simulator()
         store = Store(sim, name="mailbox")

@@ -141,6 +141,14 @@ EVENTS = st.lists(
 
 
 class TestRegistryMerge:
+    def test_signed_zero_gauges_merge_commutatively(self):
+        def merged(first, second):
+            reg = registry_from([("gauge", "g", first)])
+            reg.merge(registry_from([("gauge", "g", second)]))
+            return json.dumps(reg.snapshot(), sort_keys=True)
+
+        assert merged(0.0, -0.0) == merged(-0.0, 0.0)
+
     @given(EVENTS, EVENTS)
     @settings(max_examples=100, deadline=None)
     def test_commutative_snapshot(self, a_events, b_events):

@@ -300,3 +300,36 @@ class TestEventPooling:
         assert call._entry[3] is None  # call<->entry cycle broken
         queue.push_pooled(2.0, lambda: 1)
         assert queue.stats()["pool_reuses"] == 1
+
+    def test_held_handle_is_never_reused(self):
+        # handles held across many recycled dispatches: the pool keeps
+        # turning over, but never hands out an object under its holder
+        sim = Simulator()
+        fired = []
+        held = [sim.schedule(1.0, fired.append, "fires"),
+                sim.schedule(2.0, fired.append, "cancelled")]
+        pinned = [(h.seq, h.callback, h.args) for h in held]
+
+        def unchanged(handles):
+            return [(h.seq, h.callback, h.args) for h in handles] == pinned
+
+        def churn(n):
+            assert unchanged(held)
+            if n < 200:
+                sim.post(0.001, churn, n + 1)
+                sim.schedule(0.0005, lambda: None).pooled = True
+
+        sim.post(0.0, churn, 0)
+        sim.run(until=0.5)
+        assert sim.queue.stats()["pool_reuses"] >= 390
+        assert unchanged(held)
+        sim.run(until=1.5)
+        assert fired == ["fires"]
+        sim.post(0.0, churn, 100)
+        sim.run(until=1.9)
+        assert unchanged(held)
+        held[1].cancel()
+        assert unchanged(held)
+        sim.run()
+        assert fired == ["fires"]
+        assert not any(h.pooled for h in held)
