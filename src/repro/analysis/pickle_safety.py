@@ -68,8 +68,8 @@ PICKLE_RULES: Dict[str, Rule] = {
             "closure scheduled as a simulator callback",
             SEVERITY_WARNING,
             "schedule a bound method or functools.partial instead; "
-            "closures make the world unsnapshottable (deep-copy-atomic "
-            "cells are shared between forks)",
+            "closures make the world unsnapshottable (sim.snapshot() "
+            "and sim.fork() raise SnapshotError)",
         ),
     )
 }

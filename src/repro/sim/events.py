@@ -26,7 +26,6 @@ an empty free list and never resurrects recycled garbage.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import SimulationError
@@ -111,7 +110,9 @@ class EventQueue:
         # ScheduledCall itself is never reached during comparison, and a
         # mutable entry can be recycled together with its pooled call
         self._heap: List[list] = []
-        self._counter = itertools.count()
+        #: sequence number of the next push (a plain int, so a world
+        #: pickles without relying on ``itertools`` pickling)
+        self._counter = 0
         #: cancelled calls still sitting in the heap awaiting lazy removal
         self._cancelled_in_heap = 0
         #: free list of dispatched fire-and-forget calls awaiting reuse
@@ -213,7 +214,8 @@ class EventQueue:
         by setting :attr:`ScheduledCall.pooled` and dropping every
         reference; only then may the kernel recycle it.
         """
-        seq = next(self._counter)
+        seq = self._counter
+        self._counter = seq + 1
         pool = self._pool
         if pool:
             call = pool.pop()

@@ -21,7 +21,6 @@ of deep-copying it.
 
 from __future__ import annotations
 
-import itertools
 import weakref
 from heapq import heappop
 from time import perf_counter
@@ -312,14 +311,16 @@ class Simulator:
         #: weak refs to every process ever started — the snapshot layer
         #: scans these to refuse forking a world with live generators
         self._procs: List[weakref.ref] = []
-        #: sim-local middleware session ids (a process-global counter here
-        #: would make forked worlds diverge from their parent's traces)
-        self._session_ids = itertools.count(1)
-        #: sim-local network frame ids, for the same reason
-        self._frame_ids = itertools.count(1)
-        #: sim-local OS job ids, for the same reason (job ids appear in
-        #: the trace via ``os.release`` / ``os.complete``)
-        self._job_ids = itertools.count(1)
+        #: last sim-local middleware session id issued (a process-global
+        #: counter here would make forked worlds diverge from their
+        #: parent's traces); the three id counters are plain ints so a
+        #: world pickles without relying on ``itertools`` pickling
+        self._session_ids = 0
+        #: last sim-local network frame id issued, for the same reason
+        self._frame_ids = 0
+        #: last sim-local OS job id issued, for the same reason (job ids
+        #: appear in the trace via ``os.release`` / ``os.complete``)
+        self._job_ids = 0
 
     # -- snapshot / world registry ----------------------------------------
 
@@ -355,15 +356,18 @@ class Simulator:
 
     def next_session_id(self) -> int:
         """Allocate a sim-local middleware session id."""
-        return next(self._session_ids)
+        self._session_ids += 1
+        return self._session_ids
 
     def next_frame_id(self) -> int:
         """Allocate a sim-local network frame id."""
-        return next(self._frame_ids)
+        self._frame_ids += 1
+        return self._frame_ids
 
     def next_job_id(self) -> int:
         """Allocate a sim-local OS job id."""
-        return next(self._job_ids)
+        self._job_ids += 1
+        return self._job_ids
 
     def snapshot(self) -> "SimSnapshot":
         """Capture a reusable frozen copy of the whole world.
@@ -378,9 +382,10 @@ class Simulator:
     def fork(self) -> "Simulator":
         """Return an independent deep copy of this world.
 
-        Shared structure (:meth:`share`) is aliased; everything else —
-        clock, event heap, RNG streams, registered components — is
-        copied.  Continuing the fork and continuing the original produce
+        Shared structure (:meth:`share`) and immutable values (enum
+        members, deeply frozen dataclasses) are aliased; everything
+        else — clock, event heap, RNG streams, registered components —
+        is copied.  Continuing the fork and continuing the original produce
         byte-identical traces that then evolve independently.
         """
         from .snapshot import fork_world

@@ -4,36 +4,68 @@ A snapshot captures the *complete deterministic state* of a
 :class:`~repro.sim.kernel.Simulator` — clock, event heap and sequence
 counters, named RNG streams, every component registered in the world
 registry (network, platform, monitors, fault injectors …) plus anything
-reachable from a pending event callback — as one consistent deep copy.
+reachable from a pending event callback — as one consistent copy.
 
 Copy-on-write boundary
 ----------------------
 
-Immutable structure declared via :meth:`Simulator.share` (topologies,
-ECU/bus specs, routing graphs, schedules, offers) is **aliased**: the
-copy machinery stops at each shared object and every fork points at the
-same instance.  Everything else — mutable leaves — is copied.  Internal
-aliasing inside the mutable region is preserved (e.g. the kernel
-sanitizer's cached heap list stays the *copied* queue's heap).
+Two kinds of object are **aliased**: every fork points at the same
+instance instead of a copy.
 
-Mechanically, a same-process fork is a :mod:`pickle` round trip with a
-``persistent_id`` hook: shared objects serialize as persistent ids and
-deserialize back to the *original* instances, so the copy runs at
-C speed and the shared structure is never traversed at all.  The
-semantics are identical to ``copy.deepcopy`` with a memo pre-seeded
-``memo[id(obj)] = obj`` per shared object — :func:`fork_world` falls
-back to exactly that when an object defies pickling (e.g. user code
-attached something with ``__reduce__`` quirks mid-experiment).
+* Structure declared via :meth:`Simulator.share` (topologies, routing
+  graphs, …).  The caller promises it is never mutated.
+* *Values*, which are immutable by construction: enum members, and
+  frozen dataclasses with a ``__dict__`` whose attributes are all atoms
+  (``None``, bools, numbers, strings, bytes), values, or tuples and
+  frozensets of values.  Specs such as ``TaskSpec``, ``AppModel`` and
+  ``EcuSpec`` are values.  A frozen dataclass holding a list, a dict or
+  a mutable component is not a value and is copied.
+
+Everything else is copied.  Aliasing inside the copied region is
+preserved (e.g. the kernel sanitizer's cached heap list stays the
+*copied* queue's heap).
+
+Mechanics
+---------
+
+A snapshot is a :mod:`pickle` blob plus an *alias table*.  Slot 0 of
+the table is the table's own ``__getitem__``; the shared objects follow,
+then the values in the order the capture met them.
+
+* **Capture** is one C-speed ``dump``.  The pickler's memo is pre-seeded
+  with slot 0 and the shared objects, so every reference to them is a
+  plain memo lookup (``BINGET``) and their interior is never traversed.
+  The C pickler calls :meth:`_Capture.reducer_override` once per distinct
+  object that is neither an atom nor a built-in container (class
+  instances, classes, functions).  For a value it appends the value to
+  the table and returns ``(table[0], (slot,))``, so the value is written
+  as a call of the memoized slot 0.
+* **Restore** is one C-speed ``load`` of ``preamble + blob``.  The
+  preamble is one ``BINPERSID slot; MEMOIZE; POP`` per seeded slot, so
+  it rebuilds the memo the capture seeded, with the same indices, using
+  :meth:`_Restore.persistent_load` — the only Python hook of a restore.
+  Every value then loads as one C call of ``table.__getitem__``.
+
+Two CPython traps shape this design.  Assigning ``Unpickler.memo`` is
+broken on CPython 3.11 (the assignment writes into a memo that is then
+discarded), and protocol 5 memoizes with implicit indices, so the memo
+is filled only by opcodes, on the unpickler that then loads the world.
+``persistent_load`` of a plain ``pickle.Unpickler`` instance is
+read-only on 3.13, so the hook is a method of an ``Unpickler`` subclass.
+
+There is no fallback: a world that does not pickle raises
+:class:`SnapshotError` naming the offending object and the original
+error.
 
 Restore semantics
 -----------------
 
 Python offers no way to rewind live objects in place, so ``restore()``
 does not mutate an existing world: it materializes a **new** simulator
-from the snapshot's pristine frozen copy.  That makes a snapshot
-reusable — restore it as many times as you like, each restore is an
-independent world — and makes ``restore()`` and ``fork()`` the same
-operation at different times.
+from the snapshot's blob.  That makes a snapshot reusable — restore it
+as many times as you like, each restore is an independent world — and
+makes ``restore()`` and ``fork()`` the same operation at different
+times.
 
 Pool hygiene: the event queue's free list is dropped on capture
 (``EventQueue.__getstate__``), so a restored world starts with an empty
@@ -43,22 +75,22 @@ recycling.
 Worlds that cannot fork
 -----------------------
 
-Live generator processes hold suspended Python frames, which neither
-:func:`copy.deepcopy` nor :mod:`pickle` can capture.  Components that
-participate in snapshots are therefore written in callback style (bound
-methods rescheduling themselves); :func:`check_forkable` rejects worlds
-with alive generator processes up front with a clear error naming them.
-Similarly, snapshot-reachable callbacks must be bound methods or
-:func:`functools.partial` objects — plain closures are deep-copy-atomic,
-so a closure would smuggle shared mutable cells across worlds.
+Live generator processes hold suspended Python frames, which
+:mod:`pickle` cannot capture.  Components that participate in snapshots
+are therefore written in callback style (bound methods rescheduling
+themselves); :func:`check_forkable` rejects worlds with alive generator
+processes up front with a clear error naming them.  Similarly,
+snapshot-reachable callbacks must be bound methods or
+:func:`functools.partial` objects: a closure or lambda does not pickle,
+so a world holding one raises :class:`SnapshotError`.
 """
 
 from __future__ import annotations
 
-import copy
 import io
 import pickle
-from typing import TYPE_CHECKING, Dict, List, Optional
+from enum import Enum
+from typing import TYPE_CHECKING, Any, Iterable, List, Tuple
 
 from ..errors import SimulationError
 
@@ -97,140 +129,167 @@ def check_forkable(sim: "Simulator") -> None:
         )
 
 
-def _seed_memo(sim: "Simulator") -> Dict[int, object]:
-    """Pre-seed a deepcopy memo so shared structure is aliased, not copied."""
-    memo: Dict[int, object] = {}
-    for obj in sim._shared:
-        memo[id(obj)] = obj
-    return memo
+_ATOMS = frozenset({type(None), bool, int, float, complex, str, bytes})
 
 
-class _ForkPickler(pickle.Pickler):
-    """Pickler that emits shared objects as persistent ids."""
+def _is_value(obj: object) -> bool:
+    """True if ``obj`` is immutable all the way down, so forks may alias it."""
+    cls = type(obj)
+    if cls in _ATOMS or isinstance(obj, Enum):
+        return True
+    if cls is tuple or cls is frozenset:
+        items: Iterable[object] = obj  # type: ignore[assignment]
+    else:
+        params = getattr(cls, "__dataclass_params__", None)
+        state = getattr(obj, "__dict__", None)
+        if params is None or not params.frozen or state is None:
+            return False
+        items = state.values()
+    for item in items:
+        if type(item) not in _ATOMS and not _is_value(item):
+            return False
+    return True
 
-    def __init__(self, buf: io.BytesIO, shared_ids: Dict[int, int]) -> None:
+
+def _alias_table(entries: Iterable[object]) -> List[Any]:
+    """An alias table: slot 0 is the table's own lookup, entries follow."""
+    table: List[Any] = [None, *entries]
+    table[0] = table.__getitem__
+    return table
+
+
+def _preamble(slots: int) -> bytes:
+    """Opcodes that rebuild the capture's seeded memo, slot by slot."""
+    return b"".join(
+        pickle.BININT + i.to_bytes(4, "little")
+        + pickle.BINPERSID + pickle.MEMOIZE + pickle.POP
+        for i in range(slots)
+    )
+
+
+def _describe(obj: object) -> str:
+    cls = type(obj)
+    kind = f"{cls.__module__}.{cls.__qualname__}"
+    name = getattr(obj, "__qualname__", None)
+    return f"{kind} {name!r}" if isinstance(name, str) else kind
+
+
+class _Capture(pickle.Pickler):
+    """Pickler that writes values as alias-table lookups."""
+
+    def __init__(self, buf: io.BytesIO, table: List[Any]) -> None:
         super().__init__(buf, protocol=pickle.HIGHEST_PROTOCOL)
-        self._shared_ids = shared_ids
+        self.memo = {id(obj): (i, obj) for i, obj in enumerate(table)}
+        self.table = table
+        #: the object met last: the offender when a dump fails
+        self.last: object = None
 
-    def persistent_id(self, obj: object) -> Optional[int]:
-        return self._shared_ids.get(id(obj))
+    def reducer_override(self, obj: object) -> Any:
+        self.last = obj
+        if isinstance(obj, Enum) or (
+            getattr(type(obj), "__dataclass_params__", None) is not None
+            and _is_value(obj)
+        ):
+            table = self.table
+            table.append(obj)
+            return table[0], (len(table) - 1,)
+        return NotImplemented
 
 
-class _ForkUnpickler(pickle.Unpickler):
-    """Unpickler that resolves persistent ids to the original instances."""
+class _Restore(pickle.Unpickler):
+    """Unpickler whose preamble resolves alias-table slots."""
 
-    def __init__(self, buf: io.BytesIO, shared: List[object]) -> None:
-        super().__init__(buf)
-        self._shared = shared
+    table: List[Any]
 
     def persistent_load(self, pid: int) -> object:
-        return self._shared[pid]
+        return self.table[pid]
 
 
-def _dump_world(sim: "Simulator") -> bytes:
-    """Serialize ``sim`` with shared objects as persistent ids."""
+def _capture(sim: "Simulator") -> Tuple[bytes, List[Any]]:
+    """Serialize ``sim``; return ``preamble + blob`` and its alias table."""
+    check_forkable(sim)
+    shared = {id(obj): obj for obj in sim._shared}  # one slot per object
+    table = _alias_table(shared.values())
     buf = io.BytesIO()
-    shared_ids = {id(obj): i for i, obj in enumerate(sim._shared)}
-    _ForkPickler(buf, shared_ids).dump(sim)
-    return buf.getvalue()
+    pickler = _Capture(buf, table)
+    try:
+        pickler.dump(sim)
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        raise SnapshotError(
+            f"cannot snapshot/fork: {_describe(pickler.last)} does not "
+            f"pickle ({type(exc).__name__}: {exc}); reachable callbacks "
+            f"must be bound methods or functools.partial objects, and "
+            f"immutable structure can be declared with sim.share()"
+        ) from exc
+    return _preamble(len(shared) + 1) + buf.getvalue(), table
 
 
-def _load_world(blob: bytes, shared: List[object]) -> "Simulator":
-    """Materialize a world from :func:`_dump_world` output, aliasing
-    persistent ids back to the *original* shared instances."""
-    return _ForkUnpickler(io.BytesIO(blob), shared).load()
+def _load(blob: bytes, table: List[Any]) -> "Simulator":
+    """Materialize a world from :func:`_capture` output."""
+    restore = _Restore(io.BytesIO(blob))
+    restore.table = table
+    return restore.load()
 
 
 def fork_world(sim: "Simulator") -> "Simulator":
-    """Return an independent copy of ``sim`` (shared structure aliased).
+    """Return an independent copy of ``sim`` (shared structure and values
+    aliased): one capture and one restore."""
+    return _load(*_capture(sim))
 
-    The fast path is a pickle round trip (C speed) whose persistent-id
-    hook aliases every object in ``sim._shared`` instead of copying it.
-    Worlds containing something picklable-by-deepcopy-only fall back to
-    :func:`copy.deepcopy` with a pre-seeded memo — same semantics,
-    slower.
-    """
-    check_forkable(sim)
-    try:
-        return _load_world(_dump_world(sim), sim._shared)
-    except (pickle.PicklingError, TypeError, AttributeError):
-        return copy.deepcopy(sim, _seed_memo(sim))
+
+def _thaw(blob: bytes, entries: List[object], now: float) -> "SimSnapshot":
+    return SimSnapshot(blob, _alias_table(entries), now)
 
 
 class SimSnapshot:
     """A frozen, reusable copy of a simulation world.
 
     Obtain one via :meth:`Simulator.snapshot`.  The capture serializes
-    the world **once** (shared structure reduced to persistent ids, so
-    it is neither traversed nor copied); every :meth:`restore` then only
-    pays the C-speed deserialize, so one snapshot fans out to any number
-    of independent variants at a fraction of a rebuild.  :meth:`to_bytes`
-    / :meth:`from_bytes` give a self-contained frozen form for shipping
-    a warmed-up world once per executor worker as shared context.
-
-    Worlds whose objects pickle poorly are captured via the deepcopy
-    fallback instead: the snapshot then owns a pristine world copy and
-    every restore deep-copies it — identical semantics, slower.
+    the world **once** (shared structure and values reduced to alias
+    table slots, so they are neither traversed nor copied); every
+    :meth:`restore` then only pays the C-speed deserialize, so one
+    snapshot fans out to any number of independent variants at a
+    fraction of a rebuild.  A snapshot pickles (and :meth:`to_bytes` /
+    :meth:`from_bytes` give its bytes) for shipping a warmed-up world
+    once per executor worker as shared context.
     """
 
-    __slots__ = ("_blob", "_shared", "_pristine", "_now")
+    __slots__ = ("_blob", "_table", "_now")
 
-    def __init__(
-        self,
-        blob: Optional[bytes],
-        shared: Optional[List[object]],
-        pristine: Optional["Simulator"],
-        now: float,
-    ) -> None:
+    def __init__(self, blob: bytes, table: List[Any], now: float) -> None:
         self._blob = blob
-        self._shared = shared
-        self._pristine = pristine
+        self._table = table
         self._now = now
 
     @classmethod
     def capture(cls, sim: "Simulator") -> "SimSnapshot":
         """Snapshot ``sim`` (which keeps running, unaffected)."""
-        check_forkable(sim)
-        try:
-            blob = _dump_world(sim)
-        except (pickle.PicklingError, TypeError, AttributeError):
-            pristine = copy.deepcopy(sim, _seed_memo(sim))
-            return cls(None, None, pristine, sim.now)
-        # alias the live shared list: restores of this snapshot point at
-        # the same shared instances as the source world (the CoW boundary)
-        return cls(blob, sim._shared, None, sim.now)
+        blob, table = _capture(sim)
+        return cls(blob, table, sim.now)
 
     def restore(self) -> "Simulator":
         """Materialize a new independent world at the captured instant."""
-        if self._blob is not None:
-            return _load_world(self._blob, self._shared)
-        return copy.deepcopy(self._pristine, _seed_memo(self._pristine))
+        return _load(self._blob, self._table)
 
     @property
     def now(self) -> float:
         """Simulated time at which the world was captured."""
         return self._now
 
-    def to_bytes(self) -> bytes:
-        """Serialize the frozen world (for cross-process shipping).
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # the table's entries travel by value (they cannot be aliased
+        # across process boundaries); restores from the shipped copy
+        # alias the receiving process's copy of them
+        return _thaw, (self._blob, self._table[1:], self._now)
 
-        Self-contained: the shared objects are serialized too (they
-        cannot be aliased across process boundaries); restores from the
-        shipped copy alias the receiving process's copy of them.
-        """
-        if self._blob is not None:
-            payload = ("blob", self._blob, self._shared, self._now)
-        else:
-            payload = ("world", self._pristine, None, self._now)
-        return pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    def to_bytes(self) -> bytes:
+        """Serialize the frozen world (for cross-process shipping)."""
+        return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SimSnapshot":
         """Rebuild a snapshot serialized with :meth:`to_bytes`."""
-        kind, primary, shared, now = pickle.loads(data)
-        if kind == "blob":
-            return cls(primary, shared, None, now)
-        return cls(None, None, primary, now)
+        return pickle.loads(data)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"<SimSnapshot t={self._now:.6f}>"
