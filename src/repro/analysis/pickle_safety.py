@@ -114,7 +114,7 @@ _CONTEXT_SINKS = frozenset(
 _SCHEDULE_METHODS = frozenset({"schedule", "post", "at"})
 
 #: base-class names marking a picklable job spec
-_JOB_BASES = frozenset({"SimJob", "FunctionJob"})
+_JOB_BASES = frozenset({"SimJob", "FunctionJob", "ReplicationJob"})
 
 BOUNDARY_WORKER_PAYLOAD = "the worker pipe (FunctionJob payload)"
 BOUNDARY_WORKER_CONTEXT = "the worker pipe (run_jobs shared context)"

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import UpdateError
-from ..jobs import JobContext, SimJob
+from ..jobs import CampaignKind, JobContext, ReplicationJob
 from ..hw.ecu import CryptoCapability, OsClass
 from ..hw.topology import BusSpec, EcuSpec, Topology
 from ..model.applications import AppModel
@@ -407,14 +407,17 @@ def build_fleet_base(sim: Simulator, spec: CampaignSpec) -> Dict[str, object]:
     return base
 
 
-def _finish_campaign(
-    base: Dict[str, object],
-    spec: CampaignSpec,
-    target_wcet: float,
-    job_id: str,
+def _roll_out(
+    sim: Simulator, base: Dict[str, object], spec: CampaignSpec,
     ctx: JobContext,
 ) -> CampaignOutcome:
-    """Roll out the jittered target version on a built base and report."""
+    """Roll out the target version, its wcet jittered from the job's
+    seed, on a built base and report."""
+    target_wcet = spec.target_wcet
+    if spec.target_wcet_jitter:
+        target_wcet += ctx.rng().uniform(
+            "campaign.wcet_jitter", 0.0, spec.target_wcet_jitter
+        )
     fleet: Fleet = base["fleet"]
     old_app: AppModel = base["old_app"]
     manager = CampaignManager(
@@ -442,7 +445,7 @@ def _finish_campaign(
         for index, version in fleet.versions(spec.app_name).items()
     ))
     return CampaignOutcome(
-        replication=job_id,
+        replication=ctx.job_id,
         target_wcet=target_wcet,
         aborted=result.aborted,
         rolled_back=result.rolled_back,
@@ -453,80 +456,9 @@ def _finish_campaign(
     )
 
 
-def _jittered_wcet(spec: CampaignSpec, ctx: JobContext) -> float:
-    target_wcet = spec.target_wcet
-    if spec.target_wcet_jitter:
-        target_wcet += ctx.rng().uniform(
-            "campaign.wcet_jitter", 0.0, spec.target_wcet_jitter
-        )
-    return target_wcet
-
-
-class CampaignJob(SimJob):
-    """One fleet-campaign replication as a :class:`~repro.exec.SimJob`.
-
-    Builds simulator, trust store, fleet and campaign manager fresh in
-    the worker; all replication-specific randomness (the wcet jitter)
-    comes from the job context's derived seed, so a sweep's outcomes are
-    independent of worker count and completion order.
-    """
-
-    def __init__(self, job_id: str, spec: CampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> CampaignOutcome:
-        spec = self.spec
-        target_wcet = _jittered_wcet(spec, ctx)
-        sim = Simulator(metrics=ctx.metrics)
-        base = build_fleet_base(sim, spec)
-        return _finish_campaign(base, spec, target_wcet, self.job_id, ctx)
-
-
-class ForkedCampaignJob(SimJob):
-    """One fleet-campaign replication cloned from a pre-built base world.
-
-    The sweep builds the deployed-and-settled fleet once, snapshots it,
-    and ships the snapshot per worker as shared context; each replication
-    restores a private copy and runs only the rollout with its own
-    jittered target wcet.  Outcomes are byte-identical to
-    :class:`CampaignJob` because the base construction is RNG-free.
-    """
-
-    def __init__(self, job_id: str, spec: CampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> CampaignOutcome:
-        snap = ctx.shared
-        if snap is None:
-            raise UpdateError(
-                "forked campaign job needs a SimSnapshot as shared context"
-            )
-        spec = self.spec
-        target_wcet = _jittered_wcet(spec, ctx)
-        sim = snap.restore()
-        base = sim.world["campaign"]
-        outcome = _finish_campaign(base, spec, target_wcet, self.job_id, ctx)
-        # the restored world counted into its own (forked) registry; fold
-        # it into the job registry so digests match the rebuild path
-        ctx.metrics.absorb(sim.metrics)
-        return outcome
-
-
-def build_sweep_snapshot(spec: CampaignSpec):
-    """Build the fleet base once and return its reusable snapshot.
-
-    The base world gets its own enabled metrics registry: forks inherit
-    it (base counts included), keep counting through the rollout, and
-    the job folds the final registry into the job context — so the
-    merged digest is identical to the rebuild path's.
-    """
-    from ..obs.metrics import MetricsRegistry
-
-    sim = Simulator(metrics=MetricsRegistry())
-    build_fleet_base(sim, spec)
-    return sim.snapshot()
+class CampaignJob(ReplicationJob):
+    """One fleet-campaign replication: rebuilds the deployed-and-settled
+    fleet, or with ``fork=True`` restores it from the sweep's snapshot."""
 
 
 @dataclass
@@ -557,75 +489,21 @@ def sweep_campaigns(
 ) -> SweepResult:
     """Run ``replications`` independent campaign replications.
 
-    With an executor the replications fan out across its warm worker
-    pool; without one they run inline through the shared serial
-    executor.  Either way, replication ``i`` is seeded from
-    ``master_seed`` (defaulting to the executor's own master seed when
-    one is given, else ``0``) and its id alone, so the outcome list is
-    byte-identical for any worker count.
-
-    With ``fork=True`` (the default) the deployed-and-settled fleet is
-    built once, snapshotted and forked per replication instead of being
-    rebuilt in every job — same outcomes, a fraction of the time.
-    ``fork=False`` keeps the rebuild path for equivalence checks.
-
-    ``checkpoint`` (a :class:`repro.exec.recovery.CheckpointSpec`)
-    persists each completed replication atomically; an interrupted
-    sweep resumes via :func:`resume_sweep` /
-    :func:`repro.exec.recovery.resume_campaign`, re-running only the
-    missing replications with their original seeds.
+    Replication ``i`` is the job ``campaign.rep{i}``; seeding, fork vs.
+    rebuild (the deployed-and-settled fleet is the shared base),
+    checkpointing and failure reporting are those of
+    :func:`repro.exec.recovery.run_replications`.  An interrupted
+    checkpointed sweep resumes with :func:`resume_sweep`.
     """
-    if replications < 1:
-        raise UpdateError("sweep needs at least one replication")
-    context = None
-    if fork:
-        context = build_sweep_snapshot(spec)
-        jobs: List[SimJob] = [
-            ForkedCampaignJob(f"campaign.rep{i}", spec)
-            for i in range(replications)
-        ]
-    else:
-        jobs = [
-            CampaignJob(f"campaign.rep{i}", spec)
-            for i in range(replications)
-        ]
-    if master_seed is not None:
-        seed = master_seed
-    elif executor is not None:
-        seed = executor.master_seed
-    else:
-        seed = 0
-    if executor is None:
-        # default executor is run-time dispatch into the layer above
-        from ..exec.pool import get_inline_executor  # repro: allow[ARCH603]
+    # the campaign driver sits in exec, above core: reach it at run time
+    from ..exec.recovery import run_replications  # repro: allow[ARCH603]
 
-        executor = get_inline_executor()
-    store = None
-    if checkpoint is not None:
-        # checkpointing re-enters exec on demand
-        from ..exec.recovery import CheckpointStore  # repro: allow[ARCH603]
-
-        store = CheckpointStore(
-            checkpoint, kind="campaign_sweep",
-            plan=(spec, replications, seed),
-            meta={"every_n_shards": checkpoint.every_n_shards},
-            fault_points=fault_points,
-        )
-    # checkpointed dispatch re-enters exec at run time
-    from ..exec.recovery import run_jobs_checkpointed  # repro: allow[ARCH603]
-
-    report = run_jobs_checkpointed(
-        jobs, executor=executor, master_seed=seed, context=context,
-        store=store,
+    outcomes, digest = run_replications(
+        SWEEP, spec, replications=replications, executor=executor,
+        master_seed=master_seed, fork=fork, checkpoint=checkpoint,
+        fault_points=fault_points,
     )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise UpdateError(
-            f"{len(failed)}/{replications} campaign replications failed "
-            f"({detail})"
-        )
-    return SweepResult(outcomes=report.values, digest=report.merged_digest())
+    return SweepResult(outcomes=outcomes, digest=digest)
 
 
 def resume_sweep(directory: str, *,
@@ -633,7 +511,15 @@ def resume_sweep(directory: str, *,
                  fork: bool = True) -> SweepResult:
     """Resume an interrupted checkpointed campaign sweep (see
     :func:`repro.exec.recovery.resume_campaign`)."""
-    # resume delegates upward to the recovery layer at run time
+    # resume lives in the recovery layer above core
     from ..exec.recovery import resume_campaign  # repro: allow[ARCH603]
 
     return resume_campaign(directory, executor=executor, fork=fork)
+
+
+#: the sweep as a campaign kind, registered as ``campaign_sweep``
+SWEEP = CampaignKind(
+    name="campaign_sweep", world="campaign", build_base=build_fleet_base,
+    run=_roll_out, job_prefix="campaign", jobs=(CampaignJob, CampaignJob),
+    error=UpdateError, entry=sweep_campaigns,
+)

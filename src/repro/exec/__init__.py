@@ -21,10 +21,11 @@ worker processes without ever changing results:
 * :mod:`repro.exec.recovery` — durable checkpoint/resume of sharded
   campaigns (:class:`CheckpointSpec`, :func:`resume_campaign`) and the
   seeded executor chaos harness (:class:`ExecChaos`) that proves
-  recovery under worker kills and injected crashes.
+  recovery under worker kills and injected crashes, and the one campaign
+  driver every campaign kind runs through (:func:`run_replications`).
 """
 
-from .jobs import (
+from ..jobs import (
     BatchReport,
     FunctionJob,
     JobContext,
@@ -49,6 +50,7 @@ from .recovery import (
     load_manifest,
     resume_campaign,
     run_jobs_checkpointed,
+    run_replications,
 )
 
 __all__ = [
@@ -71,5 +73,6 @@ __all__ = [
     "plan_shards",
     "resume_campaign",
     "run_jobs_checkpointed",
+    "run_replications",
     "warm_executor",
 ]

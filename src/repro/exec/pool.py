@@ -1,6 +1,6 @@
 """A deterministic multi-process executor for independent simulation runs.
 
-:class:`ParallelExecutor` fans a batch of :class:`~repro.exec.jobs.SimJob`
+:class:`ParallelExecutor` fans a batch of :class:`~repro.jobs.SimJob`
 specs out over a pool of **persistent warm worker processes** and returns
 results **in job order**, no matter which workers finished first.
 
@@ -70,7 +70,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
 from ..obs.metrics import MetricsRegistry
-from .jobs import BatchReport, JobContext, JobResult, SimJob, derive_job_seed
+from ..jobs import BatchReport, JobContext, JobResult, SimJob, derive_job_seed
 
 #: (index, job, seed, attempt) — what travels to a worker per job
 _Payload = Tuple[int, SimJob, int, int]

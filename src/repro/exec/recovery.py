@@ -15,6 +15,10 @@ module makes sharded campaigns **preemption-tolerant**:
   persists fresh completions **as they finish** (via the executor's
   ``on_result`` hook), so a crash mid-batch loses only the unflushed
   tail.
+* :func:`run_replications` — the one campaign driver: seed choice,
+  base snapshot, checkpointed dispatch and failure aggregation for
+  sweeps and chaos campaigns; fleet runs and XiL batteries reuse its
+  :func:`campaign_executor` and :func:`dispatch` halves.
 * :func:`resume_campaign` — restarts an interrupted fleet campaign,
   fault campaign or campaign sweep from its checkpoint directory alone.
   Because every shard digest is a pure function of
@@ -46,8 +50,16 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExecutionError
+from ..jobs import (
+    CAMPAIGN_KINDS,
+    BatchReport,
+    CampaignKind,
+    JobResult,
+    SimJob,
+    derive_job_seed,
+)
 from ..sim.rng import RngStreams
-from .jobs import BatchReport, JobResult, SimJob, derive_job_seed
+from .pool import _DIE, get_inline_executor
 
 #: on-disk layout version; bump on any incompatible format change
 CHECKPOINT_SCHEMA = 1
@@ -200,7 +212,7 @@ class CheckpointStore:
     * ``manifest.json`` — schema version, campaign ``kind``, the
       ``plan_key`` content hash, the pickled plan itself (hex, so a
       resume can rebuild the campaign from the directory alone) and
-      free-form ``meta``.
+      ``meta.every_n_shards``, the flush batch size a resume reuses.
     * ``<key>.<hash12>.ckpt`` — one record per completed shard: a
       JSON header line (schema, raw key, plan_key, payload sha256)
       followed by the pickled payload.  Records are written to
@@ -216,7 +228,6 @@ class CheckpointStore:
         *,
         kind: str,
         plan: Any,
-        meta: Optional[Dict[str, Any]] = None,
         fault_points: Optional[FaultPoints] = None,
     ) -> None:
         self.spec = spec
@@ -231,11 +242,11 @@ class CheckpointStore:
         self.written = 0
         self.discarded = 0
         os.makedirs(spec.dir, exist_ok=True)
-        self._init_manifest(meta or {})
+        self._init_manifest()
 
     # -- manifest --------------------------------------------------------
 
-    def _init_manifest(self, meta: Dict[str, Any]) -> None:
+    def _init_manifest(self) -> None:
         path = os.path.join(self.spec.dir, MANIFEST_NAME)
         if os.path.exists(path):
             manifest = load_manifest(self.spec.dir)
@@ -252,7 +263,7 @@ class CheckpointStore:
             "kind": self.kind,
             "plan_key": self.plan_key,
             "plan_hex": pickle.dumps(self.plan, protocol=4).hex(),
-            "meta": meta,
+            "meta": {"every_n_shards": self.spec.every_n_shards},
         }
         blob = json.dumps(manifest, sort_keys=True).encode("utf-8")
         self._atomic_write(path, blob)
@@ -415,6 +426,93 @@ def run_jobs_checkpointed(
     return report
 
 
+# -- the campaign driver -------------------------------------------------
+
+
+def campaign_executor(executor: Any = None,
+                      master_seed: Optional[int] = None) -> Tuple[Any, int]:
+    """``(executor, master_seed)``: an explicit seed wins, else the
+    executor's, else 0; no executor means the shared inline one."""
+    if master_seed is None:
+        master_seed = executor.master_seed if executor is not None else 0
+    if executor is None:
+        executor = get_inline_executor()
+    return executor, master_seed
+
+
+def open_store(checkpoint: Optional[CheckpointSpec], kind: str, plan: Any,
+               fault_points: Optional[FaultPoints] = None,
+               ) -> Optional[CheckpointStore]:
+    """The campaign's checkpoint store, or None when it is not durable."""
+    if checkpoint is None:
+        return None
+    return CheckpointStore(checkpoint, kind=kind, plan=plan,
+                           fault_points=fault_points)
+
+
+def dispatch(
+    jobs: Sequence[SimJob],
+    *,
+    executor: Any,
+    master_seed: int,
+    context: Any = None,
+    store: Optional[CheckpointStore] = None,
+    error: type,
+    what: str,
+) -> BatchReport:
+    """Run ``jobs`` checkpointed; raise ``error`` naming each failed
+    job's id and derived seed (the first five), so it can be replayed."""
+    report = run_jobs_checkpointed(
+        jobs, executor=executor, master_seed=master_seed, context=context,
+        store=store,
+    )
+    failed = [r for r in report.results if not r.ok]
+    if failed:
+        detail = "; ".join(
+            f"{r.job_id} (seed {r.seed}): {r.error}" for r in failed[:5]
+        )
+        raise error(f"{len(failed)}/{len(jobs)} {what} failed ({detail})")
+    return report
+
+
+def run_replications(
+    kind: CampaignKind,
+    spec: Any,
+    *,
+    replications: int,
+    executor: Any = None,
+    master_seed: Optional[int] = None,
+    fork: bool = True,
+    checkpoint: Optional[CheckpointSpec] = None,
+    fault_points: Optional[FaultPoints] = None,
+) -> Tuple[List[Any], Dict[str, Any]]:
+    """Run ``replications`` replications of ``kind``; returns
+    ``(outcomes, merged digest)``.
+
+    Replication ``i`` is the job ``f"{kind.job_prefix}.rep{i}"``, seeded
+    from the master seed and that id alone, so outcomes are identical for
+    any worker count.  With ``fork`` the base is built and snapshotted
+    once and shipped once per worker; without, each replication rebuilds
+    it.  ``checkpoint`` pins the plan ``(spec, replications, seed)``.
+    """
+    if replications < 1:
+        raise kind.error(f"{kind.name} needs at least one replication")
+    executor, seed = campaign_executor(executor, master_seed)
+    context = kind.snapshot(spec) if fork else None
+    job_class = kind.jobs[fork]
+    jobs = [
+        job_class(f"{kind.job_prefix}.rep{i}", spec, fork)
+        for i in range(replications)
+    ]
+    store = open_store(checkpoint, kind.name, (spec, replications, seed),
+                       fault_points)
+    report = dispatch(
+        jobs, executor=executor, master_seed=seed, context=context,
+        store=store, error=kind.error, what=f"{kind.name} replications",
+    )
+    return report.values, report.merged_digest()
+
+
 # -- resume --------------------------------------------------------------
 
 
@@ -435,50 +533,24 @@ def resume_campaign(
     rollback is re-derived deterministically — so the resumed campaign
     digest is byte-identical to an uninterrupted run's.
 
-    Dispatches on the manifest's ``kind``: ``fleet_campaign``
-    (:class:`repro.fleet.service.FleetCampaign`), ``fault_campaign``
-    (:func:`repro.faults.campaign.run_fault_campaign`) and
-    ``campaign_sweep`` (:func:`repro.core.campaign.sweep_campaigns`).
+    Unpickling the plan imports the module that defines its spec, which
+    registers the manifest's ``kind`` in :data:`repro.jobs.CAMPAIGN_KINDS`;
+    this layer never imports the campaign code itself.
     """
     manifest = load_manifest(directory)
-    kind = manifest["kind"]
     plan = pickle.loads(bytes.fromhex(manifest["plan_hex"]))
+    resume = CAMPAIGN_KINDS.get(manifest["kind"])
+    if resume is None:
+        raise ExecutionError(
+            f"cannot resume checkpoint of unknown kind {manifest['kind']!r} "
+            f"(directory {directory!r})"
+        )
     meta = manifest.get("meta") or {}
-    every_n = int(meta.get("every_n_shards", 1))
-    checkpoint = CheckpointSpec(dir=directory, every_n_shards=every_n)
-    if kind == "fleet_campaign":
-        # resume re-enters the subsystem that wrote the checkpoint
-        from ..fleet.service import FleetCampaign  # repro: allow[ARCH603]
-
-        campaign = FleetCampaign(
-            plan, executor=executor, fork=fork, checkpoint=checkpoint,
-            fault_points=fault_points,
-        )
-        return campaign.run()
-    if kind == "fault_campaign":
-        # resume re-enters the subsystem that wrote the checkpoint
-        from ..faults.campaign import run_fault_campaign  # repro: allow[ARCH603]
-
-        spec, replications, master_seed = plan
-        return run_fault_campaign(
-            spec, replications=replications, executor=executor,
-            master_seed=master_seed, fork=fork, checkpoint=checkpoint,
-            fault_points=fault_points,
-        )
-    if kind == "campaign_sweep":
-        # resume re-enters the subsystem that wrote the checkpoint
-        from ..core.campaign import sweep_campaigns  # repro: allow[ARCH603]
-
-        spec, replications, master_seed = plan
-        return sweep_campaigns(
-            spec, replications=replications, executor=executor,
-            master_seed=master_seed, fork=fork, checkpoint=checkpoint,
-            fault_points=fault_points,
-        )
-    raise ExecutionError(
-        f"cannot resume checkpoint of unknown kind {kind!r} "
-        f"(directory {directory!r})"
+    checkpoint = CheckpointSpec(
+        dir=directory, every_n_shards=int(meta.get("every_n_shards", 1))
     )
+    return resume(plan, executor=executor, fork=fork,
+                  checkpoint=checkpoint, fault_points=fault_points)
 
 
 # -- executor-level chaos ------------------------------------------------
@@ -527,8 +599,6 @@ class ExecChaos:
             except (ProcessLookupError, OSError):  # pragma: no cover
                 pass
         if self.eof_every and self.chunks % self.eof_every == 0:
-            from .pool import _DIE
-
             try:
                 handle.conn.send_bytes(_DIE)
                 self.eofs += 1
@@ -543,8 +613,12 @@ __all__ = [
     "CheckpointStore",
     "ExecChaos",
     "FaultPoints",
+    "campaign_executor",
+    "dispatch",
     "load_manifest",
+    "open_store",
     "plan_key",
     "resume_campaign",
     "run_jobs_checkpointed",
+    "run_replications",
 ]

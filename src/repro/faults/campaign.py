@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError
-from ..exec.jobs import JobContext, SimJob
+from ..exec.recovery import resume_campaign, run_replications
 from ..hw.catalog import platform_computer
 from ..hw.topology import BusSpec, Topology
+from ..jobs import CampaignKind, JobContext, ReplicationJob
 from ..middleware.endpoint import QOS_CONTROL
 from ..middleware.paradigms import RetryPolicy, RpcClient, RpcServer
 from ..model.applications import AppModel
@@ -312,80 +313,39 @@ def campaign_outcome(
     )
 
 
-class FaultCampaignJob(SimJob):
-    """One chaos replication as a :class:`~repro.exec.SimJob`.
-
-    Everything — simulator, platform, injector RNG — is built fresh in
-    the worker from the picklable spec and the job's derived seed.
-    """
-
-    def __init__(self, job_id: str, spec: FaultCampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> FaultCampaignOutcome:
-        sim = Simulator(metrics=ctx.metrics)
-        scenario = build_chaos_scenario(sim, self.spec, ctx.rng())
-        sim.run(until=sim.now + self.spec.soak_time)
-        outcome = campaign_outcome(self.job_id, scenario)
-        ctx.metrics.counter("faults.campaign.failovers").inc(outcome.failovers)
-        ctx.metrics.counter("faults.campaign.rpc_failures").inc(
-            outcome.rpc_failures
-        )
-        return outcome
+def _soak(
+    sim: Simulator, base: Dict[str, object], spec: FaultCampaignSpec,
+    ctx: JobContext,
+) -> FaultCampaignOutcome:
+    """Arm the replication's workload on a built base, soak, and report."""
+    start_chaos_workload(sim, base, spec, ctx.rng())
+    sim.run(until=sim.now + spec.soak_time)
+    outcome = campaign_outcome(ctx.job_id, base)
+    ctx.metrics.counter("faults.campaign.failovers").inc(outcome.failovers)
+    ctx.metrics.counter("faults.campaign.rpc_failures").inc(
+        outcome.rpc_failures
+    )
+    return outcome
 
 
-class ForkedFaultCampaignJob(SimJob):
-    """One chaos replication that clones a pre-built base world.
+class FaultCampaignJob(ReplicationJob):
+    """One chaos replication, rebuilt from scratch in the worker."""
 
-    The campaign builds the RNG-free chaos base once, snapshots it, and
-    ships the snapshot to every worker as shared context (pickled once
-    per worker, not per job).  Each replication restores a private copy
+    run = ReplicationJob.run  # per-class attribute: tracers wrap it
+
+
+class ForkedFaultCampaignJob(ReplicationJob):
+    """One chaos replication that restores the campaign's base snapshot
     — platform installed, supervision armed, ``sim.now`` at the settle
-    point — and only arms its own caller and fault plan.  Because base
-    construction is deterministic and all id sequences are sim-local,
-    the outcome is byte-identical to :class:`FaultCampaignJob`'s
-    rebuild-from-scratch path.
-    """
+    point — and only arms its own caller and fault plan."""
 
-    def __init__(self, job_id: str, spec: FaultCampaignSpec) -> None:
-        self.job_id = job_id
-        self.spec = spec
-
-    def run(self, ctx: JobContext) -> FaultCampaignOutcome:
-        snap = ctx.shared
-        if snap is None:
-            raise ExecutionError(
-                "forked campaign job needs a SimSnapshot as shared context"
-            )
-        sim = snap.restore()
-        base = sim.world["chaos"]
-        start_chaos_workload(sim, base, self.spec, ctx.rng())
-        sim.run(until=sim.now + self.spec.soak_time)
-        outcome = campaign_outcome(self.job_id, base)
-        # the restored world counted into its own (forked) registry; fold
-        # it into the job registry so digests match the rebuild path
-        ctx.metrics.absorb(sim.metrics)
-        ctx.metrics.counter("faults.campaign.failovers").inc(outcome.failovers)
-        ctx.metrics.counter("faults.campaign.rpc_failures").inc(
-            outcome.rpc_failures
-        )
-        return outcome
+    fork = True
+    run = ReplicationJob.run  # per-class attribute: tracers wrap it
 
 
 def build_campaign_snapshot(spec: FaultCampaignSpec):
-    """Build the chaos base once and return its reusable snapshot.
-
-    The base world gets its own enabled metrics registry: forks inherit
-    it (with the base counts already in), keep counting through their
-    soak, and the job folds the final registry into the job context — so
-    the merged digest is identical to the rebuild path's.
-    """
-    from ..obs.metrics import MetricsRegistry
-
-    sim = Simulator(metrics=MetricsRegistry())
-    build_chaos_base(sim, spec)
-    return sim.snapshot()
+    """Build the chaos base once and return its reusable snapshot."""
+    return CHAOS.snapshot(spec)
 
 
 @dataclass
@@ -418,85 +378,31 @@ def run_fault_campaign(
 ) -> FaultCampaignResult:
     """Run ``replications`` independent chaos replications.
 
-    With an executor the replications fan out across worker processes;
-    without one they run inline.  Replication ``i`` draws all fault
-    randomness from a seed derived from the master seed and the job id
-    ``faults.rep{i}`` alone, so outcomes are byte-identical for any
-    worker count and completion order.
-
-    With ``fork=True`` (the default) the deterministic base world is
-    built once, snapshotted, and forked per replication instead of being
-    rebuilt from scratch in every job — same outcomes, a fraction of the
-    time.  ``fork=False`` keeps the rebuild path (used by tests and the
-    snapshot benchmark to prove the equivalence).
-
-    ``checkpoint`` (a :class:`repro.exec.recovery.CheckpointSpec`)
-    persists each completed replication atomically; an interrupted
-    campaign resumes via :func:`resume_fault_campaign` /
-    :func:`repro.exec.recovery.resume_campaign`, re-running only the
-    missing replications with their original seeds.  ``fault_points``
-    threads injected checkpoint-write crashes through the store (chaos
-    testing only).
+    Replication ``i`` is the job ``faults.rep{i}``; seeding, fork vs.
+    rebuild, checkpointing and failure reporting are those of
+    :func:`repro.exec.recovery.run_replications`.  ``fork=False`` keeps the
+    rebuild path the tests and the snapshot benchmark compare against; an
+    interrupted checkpointed campaign resumes with
+    :func:`resume_fault_campaign`.
     """
-    if replications < 1:
-        raise ExecutionError("fault campaign needs at least one replication")
-    context = None
-    if fork:
-        context = build_campaign_snapshot(spec)
-        jobs: List[SimJob] = [
-            ForkedFaultCampaignJob(f"faults.rep{i}", spec)
-            for i in range(replications)
-        ]
-    else:
-        jobs = [
-            FaultCampaignJob(f"faults.rep{i}", spec)
-            for i in range(replications)
-        ]
-    if master_seed is not None:
-        seed = master_seed
-    elif executor is not None:
-        seed = executor.master_seed
-    else:
-        seed = 0
-    if executor is None:
-        from ..exec.pool import get_inline_executor
-
-        executor = get_inline_executor()
-    store = None
-    if checkpoint is not None:
-        from ..exec.recovery import CheckpointStore
-
-        store = CheckpointStore(
-            checkpoint, kind="fault_campaign",
-            plan=(spec, replications, seed),
-            meta={"every_n_shards": checkpoint.every_n_shards},
-            fault_points=fault_points,
-        )
-    from ..exec.recovery import run_jobs_checkpointed
-
-    report = run_jobs_checkpointed(
-        jobs, executor=executor, master_seed=seed, context=context,
-        store=store,
+    outcomes, digest = run_replications(
+        CHAOS, spec, replications=replications, executor=executor,
+        master_seed=master_seed, fork=fork, checkpoint=checkpoint,
+        fault_points=fault_points,
     )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise ExecutionError(
-            f"{len(failed)}/{replications} fault replications failed ({detail})"
-        )
-    return FaultCampaignResult(
-        outcomes=report.values, digest=report.merged_digest()
-    )
+    return FaultCampaignResult(outcomes=outcomes, digest=digest)
 
 
-def resume_fault_campaign(directory: str, *,
-                          executor: Optional["ParallelExecutor"] = None,
-                          fork: bool = True) -> FaultCampaignResult:
-    """Resume an interrupted checkpointed fault campaign (see
-    :func:`repro.exec.recovery.resume_campaign`)."""
-    from ..exec.recovery import resume_campaign
+#: resume an interrupted checkpointed fault campaign
+resume_fault_campaign = resume_campaign
 
-    return resume_campaign(directory, executor=executor, fork=fork)
+#: the chaos campaign as a campaign kind, registered as ``fault_campaign``
+CHAOS = CampaignKind(
+    name="fault_campaign", world="chaos", build_base=build_chaos_base,
+    run=_soak, job_prefix="faults",
+    jobs=(FaultCampaignJob, ForkedFaultCampaignJob), error=ExecutionError,
+    entry=run_fault_campaign,
+)
 
 
 __all__ = [

@@ -21,6 +21,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.campaign import plan_waves
 from ..errors import UpdateError
+from ..exec.recovery import open_store, resume_campaign
+from ..jobs import CAMPAIGN_KINDS
 from .shard import TAG_NEW, TAG_OLD, FleetSpec, build_fleet_snapshots, run_fleet
 from .summary import FleetDigest, TopK
 
@@ -104,15 +106,8 @@ class FleetCampaign:
         #: digest an uninterrupted run would produce — wave boundaries,
         #: halt decisions and rollback are recomputed from the spec, the
         #: only durable state is the per-shard digests themselves
-        self.store = None
-        if checkpoint is not None:
-            from ..exec.recovery import CheckpointStore
-
-            self.store = CheckpointStore(
-                checkpoint, kind="fleet_campaign", plan=spec,
-                meta={"every_n_shards": checkpoint.every_n_shards},
-                fault_points=fault_points,
-            )
+        self.store = open_store(checkpoint, FLEET_CAMPAIGN, spec,
+                                fault_points)
 
     @property
     def done(self) -> bool:
@@ -130,46 +125,37 @@ class FleetCampaign:
         if self.done:
             return None
         start, stop = self.waves[self._wave_index]
-        wave_number = self._wave_index + 1
         self._wave_index += 1
-        run = run_fleet(
-            self.spec.fleet, executor=self.executor, fork=self.fork,
-            tag=TAG_NEW, shard_size=self.spec.shard_size,
-            snapshots=self._snapshots, start=start, stop=stop,
-            store=self.store,
-        )
-        halted = run.digest.miss_ratio > self.spec.halt_miss_ratio
-        outcome = WaveOutcome(
-            wave=wave_number, start=start, stop=stop, tag=TAG_NEW,
-            miss_ratio=run.digest.miss_ratio, halted=halted,
-            digest_json=run.digest_json,
-        )
-        self.result.waves.append(outcome)
-        if halted:
+        run, outcome = self._wave(start, stop, TAG_NEW)
+        if outcome.halted:
             self.result.halted = True
-            self._rollback(start, stop, wave_number)
+            run, _ = self._wave(start, stop, TAG_OLD)  # the rollback
+            self.result.rolled_back = True
         else:
-            self._digest.merge(run.digest)
             self.result.vehicles_updated += run.vehicles
+        self._digest.merge(run.digest)
         if self.done:
             self.result.campaign_digest = self._digest.to_json()
         return outcome
 
-    def _rollback(self, start: int, stop: int, wave_number: int) -> None:
-        """Re-run the halted wave's vehicles on the old version."""
+    def _wave(self, start: int, stop: int, tag: str):
+        """Soak vehicles ``[start, stop)`` on version ``tag`` and record
+        the wave; only a new-version wave can halt."""
         run = run_fleet(
             self.spec.fleet, executor=self.executor, fork=self.fork,
-            tag=TAG_OLD, shard_size=self.spec.shard_size,
+            tag=tag, shard_size=self.spec.shard_size,
             snapshots=self._snapshots, start=start, stop=stop,
             store=self.store,
         )
-        self.result.rolled_back = True
-        self.result.waves.append(WaveOutcome(
-            wave=wave_number, start=start, stop=stop, tag=TAG_OLD,
-            miss_ratio=run.digest.miss_ratio, halted=False,
+        outcome = WaveOutcome(
+            wave=self._wave_index, start=start, stop=stop, tag=tag,
+            miss_ratio=run.digest.miss_ratio,
+            halted=(tag == TAG_NEW
+                    and run.digest.miss_ratio > self.spec.halt_miss_ratio),
             digest_json=run.digest_json,
-        ))
-        self._digest.merge(run.digest)
+        )
+        self.result.waves.append(outcome)
+        return run, outcome
 
     def run(self) -> FleetCampaignResult:
         """Run every remaining wave to completion."""
@@ -199,13 +185,13 @@ def run_fleet_campaign(
     ).run()
 
 
-def resume_fleet_campaign(directory: str, *, executor=None,
-                          fork: bool = True) -> FleetCampaignResult:
-    """Resume an interrupted checkpointed campaign (see
-    :func:`repro.exec.recovery.resume_campaign`)."""
-    from ..exec.recovery import resume_campaign
+#: manifest kind of a checkpointed :class:`FleetCampaign`, whose plan is
+#: its spec: the entry point resumes it as is
+FLEET_CAMPAIGN = "fleet_campaign"
+CAMPAIGN_KINDS[FLEET_CAMPAIGN] = run_fleet_campaign
 
-    return resume_campaign(directory, executor=executor, fork=fork)
+#: resume an interrupted checkpointed fleet campaign
+resume_fleet_campaign = resume_campaign
 
 
 class CampaignAdmission:

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..exec.jobs import JobContext, SimJob, derive_item_seed
+from ..exec.pool import plan_shards
+from ..exec.recovery import campaign_executor, dispatch
 from ..faults.injector import FaultInjector
 from ..faults.report import ResilienceReport, build_resilience_report
 from ..faults.spec import FaultPlan, FaultSpec
+from ..jobs import JobContext, SimJob, derive_item_seed
 from ..model.applications import AppModel
 from ..osal.task import TaskSpec
 from ..sim import Simulator
@@ -149,10 +151,9 @@ def simulate_vehicle(
     seed = derive_item_seed(spec.master_seed, f"{spec.name}:{tag}", index)
     if snapshots is not None:
         sim: Simulator = snapshots[(variant.variant_id, tag)].restore()
-        platform = sim.world["fleet_vehicle"]["platform"]
     else:
         sim = build_vehicle_world(variant, app_for(spec, tag))
-        platform = sim.world["fleet_vehicle"]["platform"]
+    platform = sim.world["fleet_vehicle"]["platform"]
     plan = vehicle_plan(spec, tag)
     injector = None
     if plan.faults:
@@ -257,11 +258,7 @@ def run_fleet(
     shared store — and because vehicle seeds derive from global indices,
     a loaded digest is byte-identical to what recomputation would yield.
     """
-    from ..exec.pool import get_inline_executor, plan_shards
-    from ..exec.recovery import run_jobs_checkpointed
-
-    if executor is None:
-        executor = get_inline_executor()
+    executor, master_seed = campaign_executor(executor, spec.master_seed)
     if stop is None:
         stop = spec.size
     count = stop - start
@@ -284,16 +281,10 @@ def run_fleet(
         )
         for lo, hi in shards
     ]
-    report = run_jobs_checkpointed(
-        jobs, executor=executor, master_seed=spec.master_seed,
-        context=context, store=store,
+    report = dispatch(
+        jobs, executor=executor, master_seed=master_seed, context=context,
+        store=store, error=RuntimeError, what="fleet shards",
     )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise RuntimeError(
-            f"{len(failed)}/{len(jobs)} fleet shards failed ({detail})"
-        )
     digest = FleetDigest(worst=TopK(k=spec.top_k))
     for shard_digest in report.values:
         digest.merge(shard_digest)

@@ -14,7 +14,10 @@ This module is the *protocol* between job producers (``core``, ``dse``,
 DAG — depending only on :mod:`repro.obs` and :mod:`repro.sim` — so that
 ``core`` can define campaign jobs without importing the executor
 machinery (the ``ARCH601`` contract: ``core`` never depends on ``exec``).
-:mod:`repro.exec.jobs` re-exports every name for backward compatibility.
+The same holds for campaigns: a :class:`CampaignKind` declares one
+replicated campaign as data, :class:`ReplicationJob` forks or rebuilds
+its base, and campaign modules enter :data:`CAMPAIGN_KINDS` on import so
+``exec`` can resume them without importing them.
 
 Determinism contract
 --------------------
@@ -30,9 +33,10 @@ replays the exact same draws.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .obs.metrics import MetricsRegistry
+from .sim.kernel import Simulator
 from .sim.rng import RngStreams, _derive_seed
 
 
@@ -122,6 +126,94 @@ class FunctionJob(SimJob):
 
     def run(self, ctx: JobContext) -> Any:
         return self.fn(ctx, *self.args, **self.kwargs)
+
+
+#: manifest kind -> ``resume(plan, *, executor, fork, checkpoint,
+#: fault_points)``, which reruns the campaign a checkpoint's plan pins;
+#: each campaign module registers its kinds when it is imported
+CAMPAIGN_KINDS: Dict[str, Callable[..., Any]] = {}
+
+
+@dataclass(frozen=True)
+class CampaignKind:
+    """One replicated campaign, declared as data.
+
+    A replication runs ``run(sim, base, spec, ctx) -> outcome`` on the
+    base ``build_base(sim, spec)`` returns, drawing all randomness from
+    ``ctx.rng()``.  ``build_base`` is RNG-free, so the base can be built
+    once and forked; it registers the base as ``sim.world[world]``.
+    Constructing a kind binds it to its ``(rebuild, fork)`` job classes
+    and registers it under ``name``, its checkpoints' manifest kind.
+    """
+
+    name: str
+    world: str
+    build_base: Callable[[Simulator, Any], Any]
+    run: Callable[[Simulator, Any, Any, JobContext], Any]
+    #: replication ``i`` has job id ``f"{job_prefix}.rep{i}"``
+    job_prefix: str
+    jobs: Tuple[type, type]
+    #: exception type the campaign's entry point raises
+    error: type
+    #: ``entry(spec, *, replications, master_seed, executor, fork,
+    #: checkpoint, fault_points)``, the public entry point
+    entry: Callable[..., Any]
+
+    def __post_init__(self) -> None:
+        for job_class in self.jobs:
+            job_class.kind = self
+        CAMPAIGN_KINDS[self.name] = self.resume
+
+    def snapshot(self, spec: Any) -> Any:
+        """Build the base once and return its reusable snapshot; forks
+        inherit its metrics registry, base counts included."""
+        sim = Simulator(metrics=MetricsRegistry())
+        self.build_base(sim, spec)
+        return sim.snapshot()
+
+    def resume(self, plan: Tuple[Any, int, int], **options: Any) -> Any:
+        """Rerun the campaign pinned by a ``(spec, replications,
+        master_seed)`` plan."""
+        spec, replications, master_seed = plan
+        return self.entry(spec, replications=replications,
+                          master_seed=master_seed, **options)
+
+
+class ReplicationJob(SimJob):
+    """One replication of a :class:`CampaignKind`.
+
+    With ``fork`` the job restores the base snapshot passed as
+    ``ctx.shared``; without, it rebuilds the base — the fork ≡ rebuild
+    oracle for every kind: outcome and job digest are byte-identical.
+    """
+
+    kind: CampaignKind  # bound by the kind that lists this class
+    fork = False
+
+    def __init__(self, job_id: str, spec: Any,
+                 fork: Optional[bool] = None) -> None:
+        self.job_id = job_id
+        self.spec = spec
+        if fork is not None:
+            self.fork = fork
+
+    def run(self, ctx: JobContext) -> Any:
+        kind = self.kind
+        if not self.fork:
+            sim = Simulator(metrics=ctx.metrics)
+            base = kind.build_base(sim, self.spec)
+            return kind.run(sim, base, self.spec, ctx)
+        if ctx.shared is None:
+            raise kind.error(
+                f"{kind.name} job {self.job_id!r} forks a base snapshot, "
+                f"but none was passed as shared context"
+            )
+        sim = ctx.shared.restore()
+        outcome = kind.run(sim, sim.world[kind.world], self.spec, ctx)
+        # the restored world counted into its own registry; fold it into
+        # the job registry so the digest matches the rebuild path's
+        ctx.metrics.absorb(sim.metrics)
+        return outcome
 
 
 @dataclass

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..exec.jobs import JobContext, SimJob
+from ..exec.recovery import campaign_executor, dispatch
+from ..jobs import JobContext, SimJob
 from ..osal.core import Core
 from ..osal.policies import FixedPriorityPolicy
 from ..osal.task import Job, TaskSpec
@@ -632,21 +633,9 @@ def run_battery(
             context = snapshots
     else:
         jobs = [XilScenarioJob(f"xil.{s.name}", s) for s in scenarios]
-    if executor is None:
-        from ..exec.pool import get_inline_executor
-
-        seed = 0 if master_seed is None else master_seed
-        report = get_inline_executor().run_jobs(
-            jobs, master_seed=seed, context=context
-        )
-    else:
-        report = executor.run_jobs(
-            jobs, master_seed=master_seed, context=context
-        )
-    failed = [r for r in report.results if not r.ok]
-    if failed:
-        detail = "; ".join(f"{r.job_id}: {r.error}" for r in failed[:5])
-        raise ConfigurationError(
-            f"{len(failed)}/{len(jobs)} battery scenarios crashed ({detail})"
-        )
+    executor, seed = campaign_executor(executor, master_seed)
+    report = dispatch(
+        jobs, executor=executor, master_seed=seed, context=context,
+        error=ConfigurationError, what="battery scenarios",
+    )
     return BatteryResult(verdicts=report.values, digest=report.merged_digest())

@@ -96,11 +96,13 @@ class TestSharedContext:
 
 class TestJobSpecAttributes:
     def test_tainted_attribute_on_simjob_subclass(self):
-        assert rules("""
-            class MyJob(SimJob):
-                def __init__(self):
-                    self.callback = lambda: 1
-        """) == ["PICK501"]
+        # campaign bindings subclass ReplicationJob, not SimJob directly
+        for base in ("SimJob", "ReplicationJob"):
+            assert rules(f"""
+                class MyJob({base}):
+                    def __init__(self):
+                        self.callback = lambda: 1
+            """) == ["PICK501"], base
 
     def test_resource_attribute_on_job_spec(self):
         assert rules("""
