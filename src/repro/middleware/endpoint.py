@@ -72,6 +72,10 @@ class Endpoint:
         #: segmentation plan for a route, valid while the network's
         #: failure set is unchanged (``route_epoch`` guards staleness)
         self._segment_plans: Dict[Tuple[str, str], Tuple[int, int, bool]] = {}
+        #: (service_id, msg_type) -> frame label "svc{id:04x}.{type}"
+        self._labels: Dict[Tuple[int, MessageType], str] = {}
+        #: (src, dst) -> send-signal name "mw.{src}->{dst}"
+        self._signal_names: Dict[Tuple[str, str], str] = {}
         self.messages_sent = 0
         self.messages_received = 0
         self.frames_discarded = 0
@@ -134,7 +138,11 @@ class Endpoint:
         Local delivery (dst == own ECU) bypasses the network with zero
         latency, mirroring RTE-local communication.
         """
-        done = self.sim.signal(name=f"mw.{message.src}->{message.dst}")
+        key = (message.src, message.dst)
+        name = self._signal_names.get(key)
+        if name is None:
+            name = self._signal_names[key] = f"mw.{key[0]}->{key[1]}"
+        done = Signal(self.sim, name)
         self.messages_sent += 1
         if message.sent_at is None:
             message.sent_at = self.sim.now
@@ -168,7 +176,16 @@ class Endpoint:
     def _transmit(self, src: str, message: Message, qos: QoS, done: Signal) -> None:
         sizes = self._segment_sizes(src, message)
         n_segments = len(sizes)
-        markers = [(message, index, n_segments, done) for index in range(n_segments)]
+        if n_segments == 1:
+            markers = ((message, 0, 1, done),)
+        else:
+            markers = [(message, index, n_segments, done) for index in range(n_segments)]
+        label_key = (message.service_id, message.msg_type)
+        label = self._labels.get(label_key)
+        if label is None:
+            label = self._labels[label_key] = (
+                f"svc{message.service_id:04x}.{message.msg_type.value}"
+            )
         self.network.send_segments(
             src,
             message.dst,
@@ -176,7 +193,7 @@ class Endpoint:
             priority=qos.priority,
             traffic_class=qos.traffic_class,
             payloads=markers,
-            label=f"svc{message.service_id:04x}.{message.msg_type.value}",
+            label=label,
         )
 
     def _deliver_local(self, message: Message, done: Signal) -> None:
@@ -218,14 +235,17 @@ class Endpoint:
             self._m_latency.get(message.msg_type, self._m_latency_other).observe(
                 self.sim.now - message.sent_at
             )
-        self.sim.trace(
-            "mw.delivery",
-            ecu=self.ecu_name,
-            service=message.service_id,
-            type=message.msg_type.value,
-            session=message.session_id,
-            size=message.payload_bytes,
-        )
+        if self.sim.tracer.enabled:
+            # guarded at the call site: building the kwargs dict per
+            # delivery is pure overhead while tracing is off
+            self.sim.trace(
+                "mw.delivery",
+                ecu=self.ecu_name,
+                service=message.service_id,
+                type=message.msg_type.value,
+                session=message.session_id,
+                size=message.payload_bytes,
+            )
         handlers = self._handlers.get((message.service_id, message.msg_type))
         if handlers:
             for handler in list(handlers):

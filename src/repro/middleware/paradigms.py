@@ -304,6 +304,7 @@ class RpcClient:
         self.breaker_fastfails = 0
         metrics = endpoint.sim.metrics
         label = f"{service_id:04x}"
+        self._signal_name = f"rpc.{label}"
         self._m_timeouts = metrics.counter("rpc.timeouts", service=label)
         self._m_retries = metrics.counter("rpc.retries", service=label)
         self._m_fastfails = metrics.counter("rpc.breaker_fastfail", service=label)
@@ -331,10 +332,11 @@ class RpcClient:
                 "a retrying call needs a per-attempt timeout"
             )
         self.calls_made += 1
-        result = self.endpoint.sim.signal(name=f"rpc.{self.service_id:04x}")
+        sim = self.endpoint.sim
+        result = Signal(sim, self._signal_name)
         self._attempt(
             result, method_id, payload, payload_bytes, qos, timeout, retry,
-            self.endpoint.sim.now, 1,
+            sim.now, 1,
         )
         return result
 

@@ -39,41 +39,47 @@ GATEWAY_LATENCY = 0.0002
 Hop = Tuple[str, str, str]
 
 
-class _HopCompletion:
-    """Minimal completion sink for batched segment hops.
+class _HopForward:
+    """Completion sink of one intermediate hop of a batched transfer.
 
     Quacks like a :class:`~repro.sim.Signal` as far as the bus simulators
-    care (they only call ``fire``), but invokes its callback synchronously
-    — no per-frame Signal allocation and no deferred-dispatch event.  The
-    callback only *schedules* follow-up work (gateway forward after
-    ``GATEWAY_LATENCY``, or the countdown latch), so delivery timing is
-    unchanged; one sink is shared by every segment crossing its hop.
+    care (they only call ``fire``), but forwards synchronously — no
+    per-frame Signal allocation and no deferred-dispatch event.  The
+    forward only *schedules* the next hop after ``GATEWAY_LATENCY``, so
+    delivery timing is unchanged; one sink is shared by every segment
+    crossing its hop.
     """
 
-    __slots__ = ("fire",)
+    __slots__ = ("batch", "next_index")
 
-    def __init__(self, callback: Callable[[Frame], None]) -> None:
-        self.fire = callback
+    def __init__(self, batch: "_SegmentBatch", next_index: int) -> None:
+        self.batch = batch
+        self.next_index = next_index
+
+    def fire(self, frame: Frame) -> None:
+        self.batch._forward(self.next_index, frame)
 
 
 class _SegmentBatch:
     """In-flight state of one batched multi-segment transfer.
 
-    Everything here is bound methods and :func:`functools.partial` —
+    The batch is its own last-hop completion sink (:meth:`fire` counts a
+    segment down); intermediate hops get one :class:`_HopForward` each,
+    built only for multi-hop routes.  Everything here is plain objects —
     never closures — so a snapshot taken mid-transfer deep-copies the
     batch (countdown latch included) into the new world instead of
     aliasing the original's mutable cells.
     """
 
-    __slots__ = ("net", "hops", "hop_buses", "hop_priorities", "hop_done",
+    __slots__ = ("net", "hops", "hop_buses", "hop_priorities", "forwards",
                  "traffic_class", "label", "remaining", "done")
 
     def __init__(
         self,
         net: "VehicleNetwork",
         hops: Tuple[Hop, ...],
-        hop_buses: List[BusModel],
-        hop_priorities: List[int],
+        hop_buses: Tuple[BusModel, ...],
+        hop_priorities: Tuple[int, ...],
         traffic_class: TrafficClass,
         label: str,
         n_segments: int,
@@ -87,13 +93,12 @@ class _SegmentBatch:
         self.label = label
         self.remaining = n_segments
         self.done = done
-        # one completion sink per hop, shared by all segments: the
-        # delivered frame itself carries everything the next hop needs
-        self.hop_done = [
-            _HopCompletion(partial(self._forward, index + 1))
-            for index in range(len(hops) - 1)
-        ]
-        self.hop_done.append(_HopCompletion(self._count_down))
+        # the delivered frame itself carries everything the next hop needs
+        last = len(hops) - 1
+        self.forwards = (
+            tuple(_HopForward(self, index + 1) for index in range(last))
+            if last else ()
+        )
 
     def submit_hop(self, index: int, payload_bytes: int, payload: object) -> None:
         from_ecu, __, to_ecu = self.hops[index]
@@ -101,7 +106,10 @@ class _SegmentBatch:
             from_ecu, to_ecu, payload_bytes,
             self.hop_priorities[index], self.traffic_class, payload, self.label,
         )
-        self.hop_buses[index].submit(frame, self.hop_done[index])
+        forwards = self.forwards
+        self.hop_buses[index].submit(
+            frame, forwards[index] if index < len(forwards) else self
+        )
 
     def _forward(self, next_index: int, frame: Frame) -> None:
         net = self.net
@@ -114,7 +122,8 @@ class _SegmentBatch:
         # recorded, no listener retains gateway-addressed frames
         net._recycle_frame(frame)
 
-    def _count_down(self, frame: Frame) -> None:
+    def fire(self, frame: Frame) -> None:
+        """Last-hop completion: one segment reached ``dst``."""
         self.remaining -= 1
         if self.remaining == 0:
             self.done.fire(frame)
@@ -157,9 +166,10 @@ class VehicleNetwork:
         self.gateway_forwards = 0
         self._failed_buses: set = set()
         self._failed_key: FrozenSet[str] = frozenset()
-        #: (src, dst, frozenset(failed_buses)) -> (route, hops)
+        #: (src, dst, frozenset(failed_buses)) -> (route, hops, the
+        #: end-to-end signal name "net.{src}->{dst}")
         self._route_cache: Dict[
-            Tuple[str, str, FrozenSet[str]], Tuple[List[str], Tuple[Hop, ...]]
+            Tuple[str, str, FrozenSet[str]], Tuple[List[str], Tuple[Hop, ...], str]
         ] = {}
         #: Bumped whenever the failure set changes; layers caching derived
         #: route data (e.g. middleware segment plans) key on this.
@@ -170,6 +180,12 @@ class VehicleNetwork:
         self._m_cache_miss = metrics.counter("net.route_cache.miss")
         #: free list of dead intermediate-hop frames awaiting reuse
         self._frame_pool: List[Frame] = []
+        #: (hops, priority, traffic_class) -> (hop buses, hop priorities):
+        #: the per-hop bus objects and segment priorities of a batched send
+        self._hop_plans: Dict[
+            Tuple[Tuple[Hop, ...], int, TrafficClass],
+            Tuple[Tuple[BusModel, ...], Tuple[int, ...]],
+        ] = {}
         for ecu in topology.ecus:
             for bus_spec in topology.buses_of(ecu.name):
                 self.buses[bus_spec.name].add_listener(
@@ -184,9 +200,11 @@ class VehicleNetwork:
 
     def __getstate__(self) -> dict:
         # pooled frames belong to this world's free list only (the same
-        # hygiene as EventQueue: restored worlds start with an empty pool)
+        # hygiene as EventQueue: restored worlds start with an empty pool);
+        # hop plans hold this world's bus objects and are rebuilt on demand
         state = self.__dict__.copy()
         state["_frame_pool"] = []
+        state["_hop_plans"] = {}
         return state
 
     def _auto_assign_flexray_slots(self) -> None:
@@ -305,8 +323,8 @@ class VehicleNetwork:
         self._route_cache.clear()
         self.route_epoch += 1
 
-    def _resolve(self, src: str, dst: str) -> Tuple[List[str], Tuple[Hop, ...]]:
-        """Cached (route, hops) for the current failure set.
+    def _resolve(self, src: str, dst: str) -> Tuple[List[str], Tuple[Hop, ...], str]:
+        """Cached (route, hops, signal name) for the current failure set.
 
         ``reroutes`` counts every resolution performed while at least one
         bus is failed — i.e. sends routed under degraded conditions —
@@ -322,7 +340,7 @@ class VehicleNetwork:
                 (route[i], route[i + 1], route[i + 2])
                 for i in range(0, len(route) - 1, 2)
             )
-            entry = (route, hops)
+            entry = (route, hops, f"net.{src}->{dst}")
             self._route_cache[key] = entry
         else:
             self._m_cache_hit.inc()
@@ -368,8 +386,8 @@ class VehicleNetwork:
         limit raise :class:`NetworkError` — segmentation belongs to the
         transport layer in :mod:`repro.middleware`.
         """
-        __, hops = self._resolve(src, dst)
-        done = self.sim.signal(name=f"net.{src}->{dst}")
+        __, hops, name = self._resolve(src, dst)
+        done = Signal(self.sim, name)
         self._send_hop(hops, 0, payload_bytes, priority, traffic_class, payload, label, done)
         return done
 
@@ -387,30 +405,35 @@ class VehicleNetwork:
         """Submit ``len(sizes)`` related frames along one route, batched.
 
         The fast path behind middleware segmentation: the route is resolved
-        once for the whole batch, per-hop segment priorities are computed
-        once, gateway forwarding uses one shared closure per hop (instead
-        of one per segment per hop), and completion is a single countdown
-        latch — the returned signal fires with the final segment's frame
-        once *all* segments have reached ``dst``.  Per-segment delivery
-        order and timing are identical to ``len(sizes)`` individual
-        :meth:`send` calls issued back-to-back.
+        once for the whole batch, the per-hop buses and segment priorities
+        come from a per-route hop plan, gateway forwarding uses one shared
+        sink per hop (instead of one closure per segment per hop), and
+        completion is a single countdown latch — the returned signal fires
+        with the final segment's frame once *all* segments have reached
+        ``dst``.  Per-segment delivery order and timing are identical to
+        ``len(sizes)`` individual :meth:`send` calls issued back-to-back.
         """
-        __, hops = self._resolve(src, dst)
-        done = self.sim.signal(name=f"net.{src}->{dst}")
+        __, hops, name = self._resolve(src, dst)
+        done = Signal(self.sim, name)
         n_segments = len(sizes)
         if n_segments == 0:
             self.sim.post(0.0, done.fire, None)
             return done
         if payloads is None:
             payloads = [None] * n_segments
-        buses = self.buses
-        hop_buses = [buses[bus_name] for (__, bus_name, __) in hops]
-        hop_priorities = [
-            self._segment_priority(bus, priority, traffic_class) for bus in hop_buses
-        ]
+        plan_key = (hops, priority, traffic_class)
+        plan = self._hop_plans.get(plan_key)
+        if plan is None:
+            hop_buses = tuple(self.buses[bus_name] for (__, bus_name, __) in hops)
+            plan = self._hop_plans[plan_key] = (
+                hop_buses,
+                tuple(
+                    self._segment_priority(bus, priority, traffic_class)
+                    for bus in hop_buses
+                ),
+            )
         batch = _SegmentBatch(
-            self, hops, hop_buses, hop_priorities, traffic_class, label,
-            n_segments, done,
+            self, hops, plan[0], plan[1], traffic_class, label, n_segments, done,
         )
         for size, payload in zip(sizes, payloads):
             batch.submit_hop(0, size, payload)

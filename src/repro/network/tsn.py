@@ -19,9 +19,9 @@ A frame may only start transmission if
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, NetworkError
 from ..sim import Simulator
 from .ethernet import EgressPort, EthernetBus
 from .frame import Frame
@@ -42,13 +42,37 @@ class GateEntry:
 
 
 class GateControlList:
-    """A cyclic schedule of :class:`GateEntry` items."""
+    """A cyclic schedule of :class:`GateEntry` items.
+
+    Immutable after construction, so a :class:`TsnBus` registers it with
+    ``sim.share`` and every forked world aliases one instance.  The
+    constructor compiles what the gate queries would otherwise recompute
+    per call: the ``(open set, duration)`` steps, each priority's open
+    windows as ``(offset into the cycle, duration)`` pairs, and the widest
+    window per priority.  The offsets are the running sums the scan used
+    to accumulate, in the same order, so every query returns bit-identical
+    floats.
+    """
 
     def __init__(self, entries: Sequence[GateEntry]) -> None:
         if not entries:
             raise ConfigurationError("gate control list cannot be empty")
-        self.entries = list(entries)
+        self.entries: Tuple[GateEntry, ...] = tuple(entries)
         self.cycle = sum(e.duration for e in self.entries)
+        self._steps = tuple((e.open_priorities, e.duration) for e in self.entries)
+        windows: Dict[int, List[Tuple[float, float]]] = {}
+        widest = [0.0] * 8
+        cursor = 0.0
+        for entry in self.entries:
+            for pcp in entry.open_priorities:
+                windows.setdefault(pcp, []).append((cursor, entry.duration))
+                if entry.duration > widest[pcp]:
+                    widest[pcp] = entry.duration
+            cursor += entry.duration
+        #: priority -> its open windows, for priorities that ever open
+        self._windows = {pcp: tuple(w) for pcp, w in windows.items()}
+        #: widest window ever open per priority class (0.0: never opens)
+        self.max_window: Tuple[float, ...] = tuple(widest)
 
     @classmethod
     def tas_split(
@@ -73,13 +97,12 @@ class GateControlList:
     def state_at(self, time: float) -> Tuple[FrozenSet[int], float]:
         """Return (open priority set, seconds until this entry closes)."""
         offset = time % self.cycle
-        for entry in self.entries:
-            if offset < entry.duration:
-                return entry.open_priorities, entry.duration - offset
-            offset -= entry.duration
+        for open_priorities, duration in self._steps:
+            if offset < duration:
+                return open_priorities, duration - offset
+            offset -= duration
         # floating point edge: treat as start of cycle
-        first = self.entries[0]
-        return first.open_priorities, first.duration
+        return self._steps[0]
 
     def next_open(self, time: float, priority: int) -> float:
         """Earliest time >= ``time`` at which ``priority``'s gate is open.
@@ -87,18 +110,17 @@ class GateControlList:
         Raises:
             ConfigurationError: if the priority is never opened by this GCL.
         """
-        if not any(priority in e.open_priorities for e in self.entries):
+        windows = self._windows.get(priority)
+        if windows is None:
             raise ConfigurationError(f"priority {priority} never opens in GCL")
         offset = time % self.cycle
         base = time - offset
         for lap in range(2):  # at most one full wrap needed
-            cursor = 0.0
-            for entry in self.entries:
+            for cursor, duration in windows:
                 start = base + lap * self.cycle + cursor
-                end = start + entry.duration
-                if priority in entry.open_priorities and end > time:
+                end = start + duration
+                if end > time:
                     return max(start, time)
-                cursor += entry.duration
         raise ConfigurationError("unreachable: gate scan failed")  # pragma: no cover
 
 
@@ -110,18 +132,9 @@ class GatedEgressPort(EgressPort):
         self.gcl = gcl
         self.gate_deferrals = 0
         self._wakeup_pending = False
-        # widest gate window ever open per priority class, precomputed so
-        # the can-this-frame-ever-fit admission check is O(1) per enqueue
-        self._max_open_window = [0.0] * 8
-        for entry in gcl.entries:
-            for pcp in entry.open_priorities:
-                if entry.duration > self._max_open_window[pcp]:
-                    self._max_open_window[pcp] = entry.duration
 
     def _admit(self, frame: Frame, duration: float) -> None:
-        if duration > self._max_open_window[frame.priority] + 1e-12:
-            from ..errors import NetworkError
-
+        if duration > self.gcl.max_window[frame.priority] + 1e-12:
             raise NetworkError(
                 f"frame of {frame.payload_bytes} B can never fit a gate window "
                 f"open for priority {frame.priority}"
@@ -129,37 +142,50 @@ class GatedEgressPort(EgressPort):
 
     def _select(self):
         """Strict priority among queues whose gate is open *and* whose head
-        frame fits in the remaining open window (guard band)."""
-        now = self.bus.sim.now
-        open_set, remaining = self.gcl.state_at(now)
+        frame fits in the remaining open window (guard band).
+
+        One gate pass: the GCL is consulted only once a queued frame is
+        found, and an empty port returns at once (with nothing queued
+        there is no gate to wait for)."""
+        queues = self.queues
+        open_set = None
         for pcp in range(7, -1, -1):
-            if not self.queues[pcp]:
+            queue = queues[pcp]
+            if not queue:
                 continue
+            if open_set is None:
+                open_set, remaining = self.gcl.state_at(self.bus.sim.now)
             if pcp not in open_set:
                 continue
-            duration = self.queues[pcp][0][2]
-            if duration <= remaining + 1e-12:
-                return self.queues[pcp].popleft()
+            if queue[0][2] <= remaining + 1e-12:
+                return queue.popleft()
             self.gate_deferrals += 1
-        self._arm_wakeup()
+        if open_set is not None:
+            self._arm_wakeup(remaining)
         return None
 
-    def _arm_wakeup(self) -> None:
-        """Re-attempt selection when the earliest relevant gate re-opens."""
+    def _arm_wakeup(self, remaining: Optional[float] = None) -> None:
+        """Re-attempt selection when the earliest relevant gate re-opens.
+
+        ``remaining`` is the current entry's remaining open time when the
+        caller already holds it from its own gate pass."""
         if self._wakeup_pending:
             return
         now = self.bus.sim.now
-        candidates = []
-        for pcp in range(8):
-            if self.queues[pcp]:
-                candidates.append(self.gcl.next_open(now, pcp))
-        if not candidates:
+        gcl = self.gcl
+        wake_at = None
+        for pcp, queue in enumerate(self.queues):
+            if queue:
+                candidate = gcl.next_open(now, pcp)
+                if wake_at is None or candidate < wake_at:
+                    wake_at = candidate
+        if wake_at is None:
             return
-        wake_at = min(c for c in candidates)
         if wake_at <= now:
             # gate is open but the head frame does not fit: wake when the
             # current entry closes and the next one begins
-            __, remaining = self.gcl.state_at(now)
+            if remaining is None:
+                __, remaining = gcl.state_at(now)
             wake_at = now + remaining
         # nudge a nanosecond past the boundary so floating-point error can
         # never leave us a denormal-width sliver before the gate change
@@ -198,6 +224,7 @@ class TsnBus(EthernetBus):
         self.gcl = gcl or GateControlList.tas_split(
             cycle=0.0005, critical_window=0.0001, critical_priorities=(7,)
         )
+        sim.share(self.gcl)
 
     def _make_port(self, dst: str):
         return GatedEgressPort(self, dst, self.gcl)

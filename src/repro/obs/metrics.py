@@ -20,6 +20,7 @@ Design rules:
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Label set normalised to a hashable, order-independent key component.
@@ -345,18 +346,26 @@ class MetricsRegistry:
         self._combine(other, gauge_rule="max")
 
     def _combine(self, other: "MetricsRegistry", *, gauge_rule: str) -> None:
-        for (kind, name, labels), theirs in other._instruments.items():
+        # ``other``'s keys are already normalised label keys, so each
+        # instrument is looked up (or created) under its own key directly
+        instruments = self._instruments
+        enabled = self._enabled
+        for key, theirs in other._instruments.items():
+            mine = instruments.get(key)
+            kind = key[0]
             if kind == "counter":
-                mine = self._get_or_create(kind, Counter, name, dict(labels))
+                if mine is None:
+                    mine = instruments[key] = Counter(key[1], key[2], enabled)
                 mine.value += theirs.value
             elif kind == "gauge":
                 # A gauge this registry never set must adopt the incoming
                 # value outright: folding into the default 0.0 via max()
                 # would invent a phantom zero level (wrong whenever every
                 # real observation was negative).
-                known = (kind, name, labels) in self._instruments
-                mine = self._get_or_create(kind, Gauge, name, dict(labels))
-                if gauge_rule == "adopt" or not known:
+                if mine is None:
+                    mine = instruments[key] = Gauge(key[1], key[2], enabled)
+                    mine.value = theirs.value
+                elif gauge_rule == "adopt":
                     mine.value = theirs.value
                 else:
                     # ``+ 0.0`` turns -0.0 into 0.0: max() returns its
@@ -364,9 +373,10 @@ class MetricsRegistry:
                     # would otherwise depend on the merge order
                     mine.value = max(mine.value, theirs.value) + 0.0
             else:
-                mine = self.histogram(
-                    name, growth=theirs.growth, **dict(labels)
-                )
+                if mine is None:
+                    mine = instruments[key] = Histogram(
+                        key[1], key[2], enabled, growth=theirs.growth
+                    )
                 mine.merge(theirs)
 
     # -- inspection ------------------------------------------------------
@@ -388,11 +398,12 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Machine-readable state: ``{kind: {full_name: values}}``."""
+        # the order of instruments(), with each full name formatted once
+        named = [(i.full_name, i) for i in self._instruments.values()]
+        named.sort(key=itemgetter(0))
         out: Dict[str, Dict[str, Any]] = {}
-        for instrument in self.instruments():
-            out.setdefault(instrument.kind, {})[instrument.full_name] = (
-                instrument.snapshot()
-            )
+        for full_name, instrument in named:
+            out.setdefault(instrument.kind, {})[full_name] = instrument.snapshot()
         return out
 
     def render(self) -> str:
