@@ -16,10 +16,9 @@ Measures the copy-on-write snapshot machinery end to end and writes
   against a faithful reconstruction of the pre-cache scoring path
   (uncached ``verify`` + per-call route/latency recomputation), with
   evaluation-list equality asserted.
-* **allocations** — steady-state allocated bytes per event, measured
-  with :mod:`tracemalloc` around single-event steps: the pooled
-  ``sim.post`` kernel against the frozen :mod:`_legacy_kernel` shim
-  (fresh call object per push, tuple-allocating ``__lt__``).
+* **allocations** — steady-state allocated bytes per event of the
+  pooled ``sim.post`` kernel, measured with :mod:`tracemalloc` around
+  single-event steps, plus the call-object pool's stats.
 
 Usage::
 
@@ -43,14 +42,10 @@ import gc
 import json
 import os
 import platform
-import sys
 import tracemalloc
 from time import perf_counter
 
-sys.path.insert(0, os.path.dirname(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-import _legacy_kernel  # noqa: E402
 
 from repro.core.campaign import CampaignSpec, sweep_campaigns  # noqa: E402
 from repro.dse import MappingProblem  # noqa: E402
@@ -399,13 +394,12 @@ def _measure_bytes_per_event(step_one, *, warmup: int, events: int) -> float:
 
 
 def bench_allocations(*, smoke: bool) -> dict:
-    """Pooled ``sim.post`` kernel vs the frozen legacy shim.
+    """Bytes per event of the pooled ``sim.post`` kernel.
 
     The workload is 64 phase-staggered self-rescheduling timer chains —
     the steady-state shape of every heartbeat/sampling loop in the
     stack.  The pooled kernel recycles one call object per chain and
-    compares precomputed keys; the legacy shim allocates a fresh call
-    per push and two key tuples per heap comparison.
+    compares precomputed keys.
     """
     warmup = 256
     events = 512 if smoke else 2048
@@ -421,30 +415,9 @@ def bench_allocations(*, smoke: bool) -> dict:
     current_bpe = _measure_bytes_per_event(sim.step, warmup=warmup,
                                            events=events)
     pool = sim.queue.stats()
-
-    lsim = _legacy_kernel.LegacySimulator()
-
-    def ltick():
-        lsim.schedule(_PERIOD, ltick)  # repro: allow[PICK511]
-
-    for j in range(_CHAINS):
-        lsim.schedule(j * _PHASE if j else _PERIOD, ltick)  # repro: allow[PICK511]
-
-    def lstep():
-        call = lsim.queue.pop()
-        lsim.now = call.time
-        call.callback(*call.args)
-
-    legacy_bpe = _measure_bytes_per_event(lstep, warmup=warmup,
-                                          events=events)
-
-    ratio = (legacy_bpe / current_bpe) if current_bpe > 0 else float("inf")
     return {
         "events_measured": events,
-        "legacy_bytes_per_event": round(legacy_bpe, 1),
         "current_bytes_per_event": round(current_bpe, 1),
-        "ratio": round(ratio, 1) if ratio != float("inf") else "inf",
-        "reduced_5x": (ratio >= 5.0),
         "pool_creations": pool["pool_creations"],
         "pool_reuses": pool["pool_reuses"],
     }
@@ -536,9 +509,8 @@ def main(argv=None) -> int:
     allocations = bench_allocations(smoke=args.smoke)
     sections["allocations"] = allocations
     print(
-        f"  legacy {allocations['legacy_bytes_per_event']} B/event, "
-        f"current {allocations['current_bytes_per_event']} B/event "
-        f"({allocations['ratio']}x reduction)"
+        f"  {allocations['current_bytes_per_event']} B/event "
+        f"({allocations['pool_reuses']:,} pool reuses)"
     )
 
     _write(os.path.join(args.out_dir, "BENCH_snapshot.json"), {

@@ -1,24 +1,24 @@
 #!/usr/bin/env python
 """Perf-trajectory benchmark runner.
 
-Measures (a) the kernel hot path against a frozen pre-optimization shim
-(:mod:`_legacy_kernel`), (b) the :mod:`repro.exec` parallel executor
-against serial execution, and (c) the communication stack (route cache,
-heap arbitration, batched segmented transfer) against the frozen
-:mod:`_legacy_comms` shim, then writes ``BENCH_kernel.json``,
-``BENCH_exec.json`` and ``BENCH_comms.json`` at the repo root so every
-future PR has a recorded baseline to beat.
+Measures (a) the kernel hot path, (b) the :mod:`repro.exec` parallel
+executor against serial execution, and (c) the communication stack
+(route cache, heap arbitration, batched segmented transfer), then
+writes ``BENCH_kernel.json``, ``BENCH_exec.json`` and
+``BENCH_comms.json`` at the repo root so every future PR has a recorded
+baseline to beat.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py           # full run
     PYTHONPATH=src python benchmarks/run_benchmarks.py --smoke   # CI-sized
 
-Legacy and optimized variants run the *same* workload in the same
-process, so the throughput ratio isolates the code change from the
-hardware; the comms benchmark additionally asserts that both sides
-produce **byte-identical delivery traces** (same frames, same order,
-same timestamps).
+The kernel and comms benchmarks each add one untimed trace pass at a
+fixed size (the same in ``--smoke`` and full mode) and compare its
+sha256 with a committed golden: :data:`KERNEL_ORDER_SHA256` pins the
+kernel workload's dispatch order, :data:`COMMS_TRACE_SHA256` the comms
+workload's delivery trace (same frames, same order, same timestamps).
+A mismatch fails the run.
 
 The executor benchmarks share **one warm worker pool** across all three
 workloads (spawn + import paid once, outside the timed regions — the
@@ -35,24 +35,43 @@ runners only); ``results_identical`` is always gating.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
 import platform
-import sys
 from time import perf_counter
 
-sys.path.insert(0, os.path.dirname(__file__))
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-import _legacy_kernel  # noqa: E402
+#: Kernel trace-pass size: 6,000 dispatch records.
+KERNEL_TRACE_PARAMS = dict(chains=20, chain_length=60, fanout=4,
+                           cancel_every=3)
+#: sha256 over the ``repr`` lines of the kernel trace pass's dispatch
+#: records, recorded while the pre-optimization kernel and the live one
+#: still produced the same order.
+KERNEL_ORDER_SHA256 = (
+    "dfd85cd4403462ea6736f70740a44a5f715a71c659c39f74365bbbae93c0c3a1"
+)
+#: Comms trace-pass size: 8,300 trace entries.
+COMMS_TRACE_ROUNDS = 100
+#: sha256 over the ``TraceEntry.to_json()`` lines of the comms trace
+#: pass, recorded while the pre-change comms stack and the live one
+#: still produced the same trace.
+COMMS_TRACE_SHA256 = (
+    "cdfb04f5fcc54119101f3bf8e8afce8dbf6a3c2fa9eab2542003b16856a0d17c"
+)
+
+
+def _sha256_lines(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 # -- kernel microbenchmark ----------------------------------------------
 
 
-def _kernel_workload(sim, signal_factory, *, chains, chain_length, fanout,
-                     cancel_every):
+def _kernel_workload(sim, *, chains, chain_length, fanout, cancel_every,
+                     record=None):
     """A scheduling-heavy workload exercising every optimized path.
 
     * ``chains`` timer chains of ``chain_length`` rescheduled callbacks
@@ -62,22 +81,36 @@ def _kernel_workload(sim, signal_factory, *, chains, chain_length, fanout,
     * every ``cancel_every``-th link schedules a decoy timer and cancels
       it (cancelled-entry pruning).
 
+    With a ``record`` list, each link appends ``(sim.now, chain, depth)``
+    and each waiter ``(sim.now, chain, depth, k)``: the dispatch order.
     Returns the number of events executed.
     """
     executed = [0]
     decoys = []
 
+    def waiter(chain_id, depth, k):
+        if record is None:
+            def cb(_value):
+                executed[0] += 1
+        else:
+            def cb(_value):
+                executed[0] += 1
+                record.append((sim.now, chain_id, depth, k))
+        return cb
+
     def link(chain_id, depth):
         executed[0] += 1
+        if record is not None:
+            record.append((sim.now, chain_id, depth))
         if cancel_every and depth % cancel_every == 0:
             decoys.append(sim.schedule(1e6, _noop))
             if len(decoys) >= 64:
                 for handle in decoys:
                     handle.cancel()
                 decoys.clear()
-        signal = signal_factory(sim)
-        for _ in range(fanout):
-            signal.add_callback(_count_cb(executed))
+        signal = sim.signal()
+        for k in range(fanout):
+            signal.add_callback(waiter(chain_id, depth, k))
         signal.fire(depth)
         if depth < chain_length:
             sim.schedule(1e-6 * ((chain_id + depth) % 7 + 1),
@@ -93,19 +126,6 @@ def _noop():
     pass
 
 
-def _count_cb(executed):
-    def cb(_value):
-        executed[0] += 1
-    return cb
-
-
-def _run_kernel_side(make_sim, signal_factory, params):
-    start = perf_counter()
-    executed = _kernel_workload(make_sim(), signal_factory, **params)
-    elapsed = perf_counter() - start
-    return executed, elapsed
-
-
 def bench_kernel(*, smoke: bool) -> dict:
     from repro.sim import Simulator
 
@@ -116,43 +136,25 @@ def bench_kernel(*, smoke: bool) -> dict:
         cancel_every=3,
     )
     repeats = 2 if smoke else 3
-
-    def optimized_sim():
-        return Simulator()
-
-    def legacy_sim():
-        return _legacy_kernel.LegacySimulator()
-
-    def legacy_signal(sim):
-        return sim.signal()
-
-    def optimized_signal(sim):
-        return sim.signal()
-
-    # interleave repeats so frequency scaling hits both sides equally
-    best = {"legacy": None, "optimized": None}
-    events = {"legacy": 0, "optimized": 0}
+    best = None
     for _ in range(repeats):
-        for name, make_sim, factory in (
-            ("legacy", legacy_sim, legacy_signal),
-            ("optimized", optimized_sim, optimized_signal),
-        ):
-            executed, elapsed = _run_kernel_side(make_sim, factory, params)
-            events[name] = executed
-            if best[name] is None or elapsed < best[name]:
-                best[name] = elapsed
-    assert events["legacy"] == events["optimized"], (
-        "legacy and optimized kernels must execute identical workloads"
-    )
-    baseline_eps = events["legacy"] / best["legacy"]
-    optimized_eps = events["optimized"] / best["optimized"]
+        start = perf_counter()
+        events = _kernel_workload(Simulator(), **params)
+        elapsed = perf_counter() - start
+        if best is None or elapsed < best:
+            best = elapsed
+
+    record = []
+    _kernel_workload(Simulator(), record=record, **KERNEL_TRACE_PARAMS)
+    digest = _sha256_lines(map(repr, record))
     return {
         "workload": params,
-        "events": events["optimized"],
+        "events": events,
         "repeats": repeats,
-        "baseline_events_per_sec": round(baseline_eps),
-        "optimized_events_per_sec": round(optimized_eps),
-        "speedup": round(optimized_eps / baseline_eps, 3),
+        "events_per_sec": round(events / best),
+        "trace_records": len(record),
+        "trace_sha256": digest,
+        "results_identical": digest == KERNEL_ORDER_SHA256,
     }
 
 
@@ -214,7 +216,7 @@ def _reset_comms_counters():
     wire._session_ids = itertools.count(1)
 
 
-def _comms_run(network_cls, endpoint_cls, *, rounds, tracer=None):
+def _comms_run(*, rounds, tracer=None):
     """Run the mixed-topology SOA workload; returns (messages, elapsed).
 
     Each 5 ms round issues six service messages spanning every transport:
@@ -225,6 +227,7 @@ def _comms_run(network_cls, endpoint_cls, *, rounds, tracer=None):
     no redundant path, pauses for that window).
     """
     from repro.middleware import (
+        Endpoint,
         Message,
         MessageType,
         QOS_BULK,
@@ -232,16 +235,17 @@ def _comms_run(network_cls, endpoint_cls, *, rounds, tracer=None):
         QoS,
         ServiceRegistry,
     )
+    from repro.network import VehicleNetwork
     from repro.sim import Simulator
 
     _reset_comms_counters()
     period = 0.005
     topo = _comms_topology()
     sim = Simulator(tracer=tracer)
-    net = network_cls(sim, topo)
+    net = VehicleNetwork(sim, topo)
     registry = ServiceRegistry()
     endpoints = {
-        name: endpoint_cls(sim, net, name, registry)
+        name: Endpoint(sim, net, name, registry)
         for name in ("sensor1", "sensor2", "actuator1", "actuator2",
                      "brake1", "brake2", "cam", "fusion")
     }
@@ -295,56 +299,30 @@ def _comms_run(network_cls, endpoint_cls, *, rounds, tracer=None):
 
 
 def bench_comms(*, smoke: bool) -> dict:
-    import _legacy_comms
-
-    from repro.middleware import Endpoint
-    from repro.network import VehicleNetwork
     from repro.sim import Tracer
 
     rounds = 80 if smoke else 400
     repeats = 2 if smoke else 3
-    sides = {
-        "legacy": (_legacy_comms.LegacyVehicleNetwork,
-                   _legacy_comms.LegacyEndpoint),
-        "optimized": (VehicleNetwork, Endpoint),
-    }
-
-    # interleave timing repeats so frequency scaling hits both sides equally
-    best = {"legacy": None, "optimized": None}
-    messages = {"legacy": 0, "optimized": 0}
+    best = None
     for _ in range(repeats):
-        for name, (net_cls, ep_cls) in sides.items():
-            count, elapsed = _comms_run(net_cls, ep_cls, rounds=rounds)
-            messages[name] = count
-            if best[name] is None or elapsed < best[name]:
-                best[name] = elapsed
-    assert messages["legacy"] == messages["optimized"], (
-        "legacy and optimized comms stacks must send identical workloads"
-    )
+        messages, elapsed = _comms_run(rounds=rounds)
+        if best is None or elapsed < best:
+            best = elapsed
 
-    # equivalence pass: full tracing on, delivery traces must be
-    # byte-identical (same frames, same order, same timestamps)
-    traces = {}
-    for name, (net_cls, ep_cls) in sides.items():
-        tracer = Tracer(enabled=True)
-        _comms_run(net_cls, ep_cls, rounds=max(rounds // 4, 30), tracer=tracer)
-        traces[name] = [e.to_json() for e in tracer.entries]
-    identical = traces["legacy"] == traces["optimized"]
-
-    baseline_mps = messages["legacy"] / best["legacy"]
-    optimized_mps = messages["optimized"] / best["optimized"]
+    tracer = Tracer(enabled=True)
+    _comms_run(rounds=COMMS_TRACE_ROUNDS, tracer=tracer)
+    digest = _sha256_lines(e.to_json() for e in tracer.entries)
     return {
         "workload": (
             f"mixed CAN/FlexRay/Ethernet topology, {rounds} rounds x 6 "
             f"messages, backbone outage in the middle half"
         ),
-        "messages": messages["optimized"],
+        "messages": messages,
         "repeats": repeats,
-        "trace_entries_compared": len(traces["optimized"]),
-        "baseline_messages_per_sec": round(baseline_mps),
-        "optimized_messages_per_sec": round(optimized_mps),
-        "speedup": round(optimized_mps / baseline_mps, 3),
-        "results_identical": identical,
+        "messages_per_sec": round(messages / best),
+        "trace_entries": len(tracer.entries),
+        "trace_sha256": digest,
+        "results_identical": digest == COMMS_TRACE_SHA256,
     }
 
 
@@ -570,30 +548,27 @@ def main(argv=None) -> int:
     exec_floors = (_load_exec_floors(args.gate_exec, mode)
                    if args.gate_exec else None)
 
-    print(f"kernel microbenchmark ({'smoke' if args.smoke else 'full'})...")
+    print(f"kernel microbenchmark ({mode})...")
     kernel = bench_kernel(smoke=args.smoke)
     print(
-        f"  legacy   {kernel['baseline_events_per_sec']:>12,} events/s\n"
-        f"  current  {kernel['optimized_events_per_sec']:>12,} events/s\n"
-        f"  speedup  {kernel['speedup']:.2f}x"
+        f"  {kernel['events_per_sec']:>12,} events/s "
+        f"(dispatch order matches golden={kernel['results_identical']})"
     )
     _write(os.path.join(args.out_dir, "BENCH_kernel.json"), {
         "environment": _environment(),
-        "mode": "smoke" if args.smoke else "full",
+        "mode": mode,
         **kernel,
     })
 
-    print(f"\ncomms-stack benchmark ({'smoke' if args.smoke else 'full'})...")
+    print(f"\ncomms-stack benchmark ({mode})...")
     comms = bench_comms(smoke=args.smoke)
     print(
-        f"  legacy   {comms['baseline_messages_per_sec']:>12,} messages/s\n"
-        f"  current  {comms['optimized_messages_per_sec']:>12,} messages/s\n"
-        f"  speedup  {comms['speedup']:.2f}x "
-        f"(traces identical={comms['results_identical']})"
+        f"  {comms['messages_per_sec']:>12,} messages/s "
+        f"(delivery trace matches golden={comms['results_identical']})"
     )
     _write(os.path.join(args.out_dir, "BENCH_comms.json"), {
         "environment": _environment(),
-        "mode": "smoke" if args.smoke else "full",
+        "mode": mode,
         **comms,
     })
 
@@ -614,17 +589,20 @@ def main(argv=None) -> int:
     speedup_gate = "enforced" if multi_core else "advisory"
     _write(os.path.join(args.out_dir, "BENCH_exec.json"), {
         "environment": _environment(),
-        "mode": "smoke" if args.smoke else "full",
+        "mode": mode,
         "speedup_gate": speedup_gate,
         **sections,
     })
 
-    failures = []
-    if not comms["results_identical"]:
-        failures.append(
-            "comms fast path diverged from the legacy shim (delivery traces "
-            "not byte-identical)"
+    failures = [
+        f"{name} {what} differs from the committed golden "
+        f"(trace_sha256 {report['trace_sha256']}, golden {golden})"
+        for name, what, report, golden in (
+            ("kernel", "dispatch order", kernel, KERNEL_ORDER_SHA256),
+            ("comms", "delivery trace", comms, COMMS_TRACE_SHA256),
         )
+        if not report["results_identical"]
+    ]
     if not all(s["results_identical"] for s in sections.values()):
         failures.append("parallel results diverged from serial")
     if exec_floors and multi_core:
@@ -639,7 +617,9 @@ def main(argv=None) -> int:
         print(f"\nspeedup gate advisory: cpu_count={cpu_count} < 2, "
               "not gating on parallel speedups")
     if failures:
-        print("\nFAILED: " + "; ".join(failures))
+        print()
+        for failure in failures:
+            print(f"FAILED: {failure}")
         return 1
     return 0
 

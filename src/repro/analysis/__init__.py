@@ -17,9 +17,8 @@ process model *before* anything runs:
   ``(time, priority)`` instant touching the same attribute.
 
 All passes share pragma suppression (``# repro: allow[RULE]``),
-family-split baselines, an incremental content-addressed cache
-(:mod:`repro.analysis.cache`) and a mechanical autofixer
-(:mod:`repro.analysis.fixer`).  :mod:`repro.analysis.sanitizer` is the
+family-split baselines and an incremental content-addressed cache
+(:mod:`repro.analysis.cache`).  :mod:`repro.analysis.sanitizer` is the
 runtime complement: an opt-in kernel mode detecting same-instant races
 on interleavings a seed actually exercises.
 """

@@ -12,12 +12,6 @@ Typical invocations::
     # disable the incremental cache (CI does this for hermetic runs)
     python -m repro.analysis --no-cache
 
-    # preview mechanical fixes as a unified diff (exit 1 if any apply)
-    python -m repro.analysis --fix
-
-    # actually rewrite the files
-    python -m repro.analysis --fix --write
-
     # accept the current findings as the new baseline(s)
     python -m repro.analysis --update-baseline
 
@@ -28,8 +22,8 @@ Baselines are split by rule family: ``DET*`` fingerprints live in
 ``determinism-baseline.json`` (kept empty — determinism debt is never
 banked) and everything else in ``analysis-baseline.json``.
 
-Exit codes: ``0`` clean, ``1`` fresh findings / parse errors / pending
-``--fix`` proposals, ``2`` bad usage.
+Exit codes: ``0`` clean, ``1`` fresh findings / parse errors, ``2`` bad
+usage.
 """
 
 from __future__ import annotations
@@ -40,7 +34,6 @@ import sys
 from typing import Dict, List, Optional
 
 from .cache import AnalysisCache
-from .fixer import apply_fixes, propose_fixes, render_diffs
 from .lint import (
     ALL_PASSES,
     AnalysisReport,
@@ -157,19 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=f"cache directory (default: <root>/{DEFAULT_CACHE_DIR})",
     )
     parser.add_argument(
-        "--fix", action="store_true",
-        help="propose mechanical fixes for fresh findings as a unified "
-        "diff (dry run; exit 1 if any edit applies)",
-    )
-    parser.add_argument(
-        "--write", action="store_true",
-        help="with --fix: apply the proposed edits in place",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="(default behavior; kept for compatibility)",
-    )
-    parser.add_argument(
         "--baseline", default=None,
         help=f"non-DET baseline file (default: <root>/{ANALYSIS_BASELINE})",
     )
@@ -197,9 +177,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list_rules:
         _print_rules(passes)
         return 0
-    if args.write and not args.fix:
-        print("--write requires --fix", file=sys.stderr)
-        return 2
 
     root = os.path.abspath(args.root)
     paths = args.paths or [
@@ -261,26 +238,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         baseline.update(load_baseline(det_baseline_path))
         baseline.update(load_baseline(analysis_baseline_path))
     fresh = new_findings(report, baseline)
-
-    if args.fix:
-        fixes = propose_fixes(fresh, root)
-        if not fixes:
-            print("no mechanical fixes to apply")
-            return 0
-        if args.write:
-            changed = apply_fixes(fixes)
-            for fix in fixes:
-                for description in fix.descriptions:
-                    print(f"{fix.path}: {description}")
-            print(f"fixed {changed} file(s); re-run the analysis")
-            return 0
-        sys.stdout.write(render_diffs(fixes))
-        print(
-            f"\n{len(fixes)} file(s) have mechanical fixes "
-            "(re-run with --fix --write to apply)",
-            file=sys.stderr,
-        )
-        return 1
 
     for finding in report.findings:
         print(finding.render())

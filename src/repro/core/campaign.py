@@ -493,7 +493,8 @@ def sweep_campaigns(
     rebuild (the deployed-and-settled fleet is the shared base),
     checkpointing and failure reporting are those of
     :func:`repro.exec.recovery.run_replications`.  An interrupted
-    checkpointed sweep resumes with :func:`resume_sweep`.
+    checkpointed sweep resumes with
+    :func:`repro.exec.recovery.resume_campaign`.
     """
     # the campaign driver sits in exec, above core: reach it at run time
     from ..exec.recovery import run_replications  # repro: allow[ARCH603]
@@ -504,17 +505,6 @@ def sweep_campaigns(
         fault_points=fault_points,
     )
     return SweepResult(outcomes=outcomes, digest=digest)
-
-
-def resume_sweep(directory: str, *,
-                 executor: Optional["ParallelExecutor"] = None,
-                 fork: bool = True) -> SweepResult:
-    """Resume an interrupted checkpointed campaign sweep (see
-    :func:`repro.exec.recovery.resume_campaign`)."""
-    # resume lives in the recovery layer above core
-    from ..exec.recovery import resume_campaign  # repro: allow[ARCH603]
-
-    return resume_campaign(directory, executor=executor, fork=fork)
 
 
 #: the sweep as a campaign kind, registered as ``campaign_sweep``

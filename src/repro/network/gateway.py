@@ -145,9 +145,6 @@ def build_bus(sim: Simulator, spec: BusSpec, gcl: Optional[GateControlList] = No
 class VehicleNetwork:
     """All bus segments of a topology plus gateway forwarding."""
 
-    #: Factory hook: benchmark shims substitute legacy bus simulators here.
-    _bus_factory = staticmethod(build_bus)
-
     def __init__(
         self,
         sim: Simulator,
@@ -157,7 +154,7 @@ class VehicleNetwork:
         self.sim = sim
         self.topology = topology
         self.buses: Dict[str, BusModel] = {
-            spec.name: self._bus_factory(sim, spec, gcl) for spec in topology.buses
+            spec.name: build_bus(sim, spec, gcl) for spec in topology.buses
         }
         #: Bus-node names, frozen once — route filtering must not rebuild
         #: this set per call.

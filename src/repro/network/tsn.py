@@ -164,11 +164,11 @@ class GatedEgressPort(EgressPort):
             self._arm_wakeup(remaining)
         return None
 
-    def _arm_wakeup(self, remaining: Optional[float] = None) -> None:
+    def _arm_wakeup(self, remaining: float) -> None:
         """Re-attempt selection when the earliest relevant gate re-opens.
 
-        ``remaining`` is the current entry's remaining open time when the
-        caller already holds it from its own gate pass."""
+        ``remaining`` is the current entry's remaining open time, from the
+        caller's own gate pass."""
         if self._wakeup_pending:
             return
         now = self.bus.sim.now
@@ -184,8 +184,6 @@ class GatedEgressPort(EgressPort):
         if wake_at <= now:
             # gate is open but the head frame does not fit: wake when the
             # current entry closes and the next one begins
-            if remaining is None:
-                __, remaining = gcl.state_at(now)
             wake_at = now + remaining
         # nudge a nanosecond past the boundary so floating-point error can
         # never leave us a denormal-width sliver before the gate change

@@ -210,7 +210,7 @@ class TestRunLint:
 class TestCli:
     def test_check_fails_on_seeded_rng_bypass(self, tmp_path, capsys):
         write(tmp_path, "src/mod.py", HAZARD)
-        code = main(["--root", str(tmp_path), "--check"])
+        code = main(["--root", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1
         assert "DET101" in captured.out
@@ -218,7 +218,7 @@ class TestCli:
 
     def test_check_passes_on_clean_tree(self, tmp_path, capsys):
         write(tmp_path, "src/mod.py", "def f():\n    return 1\n")
-        code = main(["--root", str(tmp_path), "--check"])
+        code = main(["--root", str(tmp_path)])
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
@@ -226,19 +226,19 @@ class TestCli:
         write(tmp_path, "src/mod.py", HAZARD)
         assert main(["--root", str(tmp_path), "--update-baseline"]) == 0
         assert (tmp_path / "determinism-baseline.json").exists()
-        assert main(["--root", str(tmp_path), "--check"]) == 0
+        assert main(["--root", str(tmp_path)]) == 0
         # a new hazard on top of the baselined one still fails
         write(tmp_path, "src/other.py", HAZARD)
-        assert main(["--root", str(tmp_path), "--check"]) == 1
+        assert main(["--root", str(tmp_path)]) == 1
 
     def test_no_baseline_flag_counts_everything(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)
         assert main(["--root", str(tmp_path), "--update-baseline"]) == 0
-        assert main(["--root", str(tmp_path), "--check", "--no-baseline"]) == 1
+        assert main(["--root", str(tmp_path), "--no-baseline"]) == 1
 
     def test_parse_error_fails_check(self, tmp_path):
         write(tmp_path, "src/bad.py", "def broken(:\n")
-        assert main(["--root", str(tmp_path), "--check"]) == 1
+        assert main(["--root", str(tmp_path)]) == 1
 
     def test_json_report_written(self, tmp_path):
         write(tmp_path, "src/mod.py", HAZARD)

@@ -7,8 +7,8 @@
 * a resume finds its campaign kind through the plan unpickle alone.
 """
 
-import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -107,18 +107,21 @@ def record_bytes(directory):
     return records
 
 
-@pytest.mark.parametrize("kind", sorted(FRESH_RUNS))
-def test_pre_driver_checkpoints_resume_to_a_fresh_run(kind, tmp_path):
-    directory = copy_fixture(kind, tmp_path)
-    kept = record_bytes(directory)
-    assert load_manifest(directory)["kind"] == kind
-    resumed = resume_campaign(directory)
+def assert_equals_fresh_run(kind, resumed):
     fresh = FRESH_RUNS[kind]()
     if kind == "fleet_campaign":
         assert resumed == fresh
     else:
         assert resumed.outcomes == fresh.outcomes
         assert resumed.digest == fresh.digest
+
+
+@pytest.mark.parametrize("kind", sorted(FRESH_RUNS))
+def test_pre_driver_checkpoints_resume_to_a_fresh_run(kind, tmp_path):
+    directory = copy_fixture(kind, tmp_path)
+    kept = record_bytes(directory)
+    assert load_manifest(directory)["kind"] == kind
+    assert_equals_fresh_run(kind, resume_campaign(directory))
     after = record_bytes(directory)
     # the kept records were loaded, not rewritten; the dropped half came
     # back, so the store is complete again
@@ -126,26 +129,33 @@ def test_pre_driver_checkpoints_resume_to_a_fresh_run(kind, tmp_path):
     assert len(after) == 2 * len(kept)
 
 
-def test_resume_registers_the_kind_through_the_plan_unpickle(tmp_path):
-    directory = copy_fixture("fleet_campaign", tmp_path)
+@pytest.mark.parametrize("kind", sorted(FRESH_RUNS))
+def test_resume_registers_the_kind_through_the_plan_unpickle(kind, tmp_path):
+    # a fresh process that imported only repro.exec: the kind's own
+    # package (fleet, faults) loads only when the plan unpickles
+    directory = copy_fixture(kind, tmp_path)
+    out = str(tmp_path / "resumed.pkl")
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     script = (
-        "import json, sys\n"
+        "import pickle, sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import repro.exec\n"
         "assert 'repro.fleet' not in sys.modules\n"
+        "assert 'repro.faults' not in sys.modules\n"
         "result = repro.exec.resume_campaign(sys.argv[1])\n"
-        "print(json.dumps(result.campaign_digest, sort_keys=True))\n"
+        "with open(sys.argv[2], 'wb') as fh:\n"
+        "    pickle.dump(result, fh)\n"
     )
     done = subprocess.run(
-        [sys.executable, "-c", script, directory],
+        [sys.executable, "-c", script, directory, out],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    fresh = run_fleet_campaign(fx.FLEET_SPEC)
-    assert done.stdout.strip() == json.dumps(
-        fresh.campaign_digest, sort_keys=True)
+    with open(out, "rb") as fh:
+        assert_equals_fresh_run(kind, pickle.load(fh))
 
+
+def test_resume_of_an_unknown_kind_names_the_kind_and_directory(tmp_path):
     unknown = str(tmp_path / "unknown")
     CheckpointStore(CheckpointSpec(unknown), kind="mystery_kind",
                     plan=("spec", 1, 0))

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.core.campaign import CampaignSpec, resume_sweep, sweep_campaigns
+from repro.core.campaign import CampaignSpec, sweep_campaigns
 from repro.exec import ParallelExecutor
 from repro.exec.recovery import (
     CheckpointCrash,
@@ -210,7 +210,7 @@ class TestOtherCampaignKinds:
                 spec, replications=3, master_seed=5,
                 checkpoint=CheckpointSpec(directory), fault_points=fp,
             )
-        resumed = resume_sweep(directory)
+        resumed = resume_campaign(directory)
         assert resumed.outcomes == reference.outcomes
         assert resumed.digest["metrics"] == reference.digest["metrics"]
         assert load_manifest(directory)["kind"] == "campaign_sweep"
