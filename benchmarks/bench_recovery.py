@@ -89,13 +89,12 @@ def _pool(workers: int, *, chaos=None) -> ParallelExecutor:
     # chunk_size=1 (one shard job per dispatch) for *every* pool so the
     # chaos sections compare apples to apples with the clean baseline —
     # and so the kill/EOF schedule, which counts dispatches, actually
-    # fires on the small smoke configuration
+    # fires on the small smoke configuration.  Clean and chaos pools run
+    # the same default hang watchdog (silent for 10 s => hung).
     return ParallelExecutor(
         workers=workers,
         master_seed=0,
         chunk_size=1,
-        heartbeat_period=0.1 if chaos is not None else 0.0,
-        heartbeat_timeout=10.0 if chaos is not None else None,
         max_redispatches=8,
         shutdown_grace=1.0,
         chaos=chaos,

@@ -81,11 +81,6 @@ def _print_rules(passes: List[str]) -> None:
         print(f"        fix: {rule.hint}")
 
 
-def _rule_is_det(fingerprint: str) -> bool:
-    parts = fingerprint.split("::")
-    return len(parts) >= 2 and parts[1].startswith("DET")
-
-
 def _split_baseline(report: AnalysisReport) -> Dict[str, Dict]:
     """Family-split baselines: DET fingerprints vs everything else."""
     det: Dict[str, int] = {}

@@ -11,11 +11,11 @@ worker processes without ever changing results:
   ``cost_hint`` to prime the chunk cost model);
 * :class:`ParallelExecutor` — a persistent warm worker pool with
   cost-model chunking, overlapped dispatch/collection, per-job seed
-  derivation, per-chunk deadlines with surgical single-worker rebuild,
-  bounded retry, and merged :mod:`repro.obs` batch reports;
-* :func:`warm_executor` / :func:`get_inline_executor` — process-wide
-  shared executors so call sites reuse one warm pool across campaigns
-  instead of paying spawn/import per call;
+  derivation, an always-on heartbeat watchdog that surgically rebuilds
+  a dead or hung worker and re-dispatches its chunk, bounded retry, and
+  merged :mod:`repro.obs` batch reports;
+* :func:`get_inline_executor` — the process-wide ``workers=1`` executor
+  serial fallback paths share;
 * :func:`derive_job_seed` — the seed contract that makes parallel runs
   byte-identical to serial ones;
 * :mod:`repro.exec.recovery` — durable checkpoint/resume of sharded
@@ -39,7 +39,6 @@ from .pool import (
     PoolSupervisor,
     get_inline_executor,
     plan_shards,
-    warm_executor,
 )
 from .recovery import (
     CheckpointCrash,
@@ -74,5 +73,4 @@ __all__ = [
     "resume_campaign",
     "run_jobs_checkpointed",
     "run_replications",
-    "warm_executor",
 ]

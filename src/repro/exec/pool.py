@@ -14,29 +14,31 @@ Architecture (why parallel wins):
 * **Cost-model chunking** — with ``chunk_size=None`` the executor sizes
   chunks from measured per-job runtime (an EMA over every completed job,
   seeded by the optional ``SimJob.cost_hint``): each chunk targets
-  ``target_chunk_seconds`` of work so one IPC round-trip is amortised
-  over many short sims, while a fair-share cap keeps every worker busy.
-  Until the first measurement arrives, single-job probe chunks run.
+  :data:`_TARGET_CHUNK_SECONDS` of work so one IPC round-trip is
+  amortised over many short sims, while a fair-share cap keeps every
+  worker busy.  Until the first measurement arrives, single-job probe
+  chunks run.
 * **Overlapped dispatch/collection** — the parent tops up every idle
   worker before draining ready pipes, so submission of chunk *k+1*
   overlaps execution of chunk *k*; workers reply with one pre-pickled
   bytes blob per chunk (compact tuples + metric digests, no rich result
   objects cross the pipe).
-* **Surgical failure recovery** — a chunk that exceeds its deadline
-  (``job_timeout * len(chunk) + grace``) fails only its own jobs;
-  **only that worker** is killed and respawned, the rest of the warm
-  pool keeps serving.  Failed jobs retry (same seed) on healthy workers
-  up to ``retries`` times.
-* **Worker supervision** — workers heartbeat over their duplex pipe
-  while a chunk is executing, so the parent distinguishes a *slow* job
-  (still beating) from a *hung or dead* worker (beats stopped, or pipe
-  EOF).  A hung worker is escalated SIGTERM → SIGKILL under a bounded
-  grace budget and surgically rebuilt, and its in-flight chunk is
+* **Worker supervision** — the pool's one liveness check.  Workers
+  heartbeat over their duplex pipe every ``heartbeat_period`` seconds
+  while a chunk is executing, so the parent tells a *slow* job (still
+  beating) from a *dead* worker (pipe EOF) or a *hung* one (silent for
+  :data:`_HANG_BEATS` periods — SIGSTOPped, deadlocked, wedged in C
+  code).  Either way **only that worker** is escalated SIGTERM →
+  SIGKILL under a bounded grace budget and surgically rebuilt, the rest
+  of the warm pool keeps serving, and the in-flight chunk is
   **re-dispatched** to a healthy worker — safe because per-job seeds
   derive from ``(master_seed, job_id)`` alone, a retried job replays
   the identical draws, and a result is recorded at most once, so
-  redispatch can neither diverge nor double-count.  Supervision health
-  is published through :mod:`repro.obs` as
+  redispatch can neither diverge nor double-count.  A job redispatched
+  more than ``max_redispatches`` times fails (the poison-pill
+  backstop).  A job that loops forever while its worker still beats is
+  not cut off.  Supervision health is published through
+  :mod:`repro.obs` as
   ``pool.supervisor.{restarts,hangs,redispatches,escalations}``.
 
 Guarantees:
@@ -45,7 +47,8 @@ Guarantees:
   and the job id only, so results are byte-identical to serial execution
   for any worker count, chunking, cost-model state, or completion order.
 * **Bounded failure handling** — a job that raises is retried up to
-  ``retries`` times (the retry replays the same seed).
+  ``retries`` times on a healthy worker (the retry replays the same
+  seed).
 * **Merged observability** — each job runs against a fresh
   :class:`~repro.obs.metrics.MetricsRegistry`; per-job digests are folded
   into one :mod:`repro.obs` batch report.
@@ -58,7 +61,6 @@ for any fan-out to pay for its IPC.
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 import pickle
@@ -82,6 +84,13 @@ _START_METHODS = ("fork", "forkserver", "spawn")
 #: EMA weight for new per-job runtime observations
 _COST_ALPHA = 0.2
 
+#: wall-clock seconds of work one cost-model chunk aims at
+_TARGET_CHUNK_SECONDS = 0.05
+
+#: heartbeat periods of silence after which a busy worker is hung
+#: (10 s at the default 0.5 s period)
+_HANG_BEATS = 20
+
 #: control frames on the worker pipe (never valid pickles)
 _STOP = b"\x00stop"
 _PING = b"\x00ping"
@@ -92,15 +101,8 @@ _BEAT = b"\x00beat"
 _DIE = b"\x00die"
 
 
-def _pick_start_method(requested: Optional[str]) -> str:
+def _pick_start_method() -> str:
     available = multiprocessing.get_all_start_methods()
-    if requested is not None:
-        if requested not in available:
-            raise ExecutionError(
-                f"start_method {requested!r} not available on this platform "
-                f"(available: {available})"
-            )
-        return requested
     for method in _START_METHODS:
         if method in available:
             return method
@@ -160,27 +162,26 @@ def _heartbeat_loop(conn, send_lock, busy, stopped, period: float) -> None:
                 return
 
 
-def _worker_main(conn, heartbeat_period: float = 0.0) -> None:
+def _worker_main(conn, heartbeat_period: float) -> None:
     """Long-lived worker loop: recv a pickled chunk, reply with bytes.
 
     The worker imports :mod:`repro` once (a no-op under ``fork``, the
     real warm-up under ``spawn``/``forkserver``) and then serves chunks
     until it receives the stop frame or its pipe closes.  Replies travel
     as one pre-pickled blob per chunk — compact tuples, not rich result
-    objects.  With ``heartbeat_period > 0`` a daemon thread beats on the
-    pipe while a chunk executes (see :func:`_heartbeat_loop`).
+    objects.  A daemon thread beats on the pipe while a chunk executes
+    (see :func:`_heartbeat_loop`).
     """
     import repro  # noqa: F401 - warm the module cache once per worker
 
     send_lock = threading.Lock()
     busy = threading.Event()
     stopped = threading.Event()
-    if heartbeat_period > 0:
-        threading.Thread(
-            target=_heartbeat_loop,
-            args=(conn, send_lock, busy, stopped, heartbeat_period),
-            daemon=True,
-        ).start()
+    threading.Thread(
+        target=_heartbeat_loop,
+        args=(conn, send_lock, busy, stopped, heartbeat_period),
+        daemon=True,
+    ).start()
 
     def send(blob: bytes) -> None:
         with send_lock:
@@ -243,10 +244,11 @@ def _worker_main(conn, heartbeat_period: float = 0.0) -> None:
 class PoolSupervisor:
     """Health counters for the warm pool, published via :mod:`repro.obs`.
 
-    The supervisor state machine is: ``HEALTHY`` → (missed heartbeat
-    budget) → ``HUNG`` → SIGTERM → (grace expired) → SIGKILL →
-    ``REBUILT`` — and every transition increments one of these counters,
-    so a campaign can report how much surgery its substrate needed.
+    The supervisor state machine is: ``HEALTHY`` → (pipe EOF, or
+    :data:`_HANG_BEATS` missed heartbeats) → ``DEAD``/``HUNG`` →
+    SIGTERM → (grace expired) → SIGKILL → ``REBUILT`` — and every
+    transition increments one of these counters, so a campaign can
+    report how much surgery its substrate needed.
     """
 
     def __init__(self) -> None:
@@ -273,10 +275,9 @@ class PoolSupervisor:
 class _WorkerHandle:
     """One persistent worker process plus its duplex pipe."""
 
-    __slots__ = ("proc", "conn", "chunk", "deadline", "ctx_token",
-                 "last_beat")
+    __slots__ = ("proc", "conn", "chunk", "ctx_token", "last_beat")
 
-    def __init__(self, ctx, heartbeat_period: float = 0.0) -> None:
+    def __init__(self, ctx, heartbeat_period: float) -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.proc = ctx.Process(target=_worker_main,
                                 args=(child_conn, heartbeat_period),
@@ -286,8 +287,6 @@ class _WorkerHandle:
         self.conn = parent_conn
         #: payload list currently in flight on this worker (None = idle)
         self.chunk: Optional[List[_Payload]] = None
-        #: absolute perf_counter deadline for the in-flight chunk
-        self.deadline: Optional[float] = None
         #: token of the shared context this worker has cached
         self.ctx_token: Optional[int] = None
         #: perf_counter instant of the last heartbeat (or dispatch)
@@ -333,20 +332,7 @@ class _WorkerHandle:
         except OSError:  # pragma: no cover - already closed
             pass
 
-    def stop(self, grace: float = 2.0) -> bool:
-        """Ask the worker to exit and reap it within a bounded budget.
-
-        Escalates stop-frame → SIGTERM → SIGKILL, waiting ``grace``
-        seconds between steps, so a worker that ignores both the frame
-        and SIGTERM can stall teardown for at most ``~2 * grace``
-        seconds before being killed outright.  Returns True if the
-        SIGKILL escalation was needed.
-        """
-        self.request_stop()
-        self.proc.join(timeout=grace)
-        return self.kill(grace)
-
-    def kill(self, grace: float = 2.0) -> bool:
+    def kill(self, grace: float) -> bool:
         """Hard-stop the worker: SIGTERM, then SIGKILL after ``grace``.
 
         Returns True if the worker ignored SIGTERM and had to be
@@ -382,27 +368,16 @@ class ParallelExecutor:
         master_seed: root of all per-job seed derivation (a per-run
             override can be passed to :meth:`run_jobs`).
         retries: extra attempts granted to a failed job (same seed).
-        job_timeout: wall-clock budget **per job** in seconds; a chunk's
-            deadline is ``job_timeout * len(chunk) + grace``.  ``None``
-            waits forever.
-        grace: fixed slack in seconds added to every chunk deadline to
-            absorb dispatch/unpickle latency (default ``1.0``).
         chunk_size: fixed jobs per worker submission; ``None`` (default)
-            enables cost-model chunking (see ``target_chunk_seconds``).
-        target_chunk_seconds: desired wall-clock duration of one chunk
-            under cost-model chunking; chunks are sized to
-            ``target_chunk_seconds / estimated_job_seconds``, capped to
+            enables cost-model chunking: chunks are sized to
+            ``_TARGET_CHUNK_SECONDS / estimated_job_seconds``, capped to
             a fair share of the remaining jobs so workers never starve.
-        start_method: multiprocessing start method; defaults to the
-            first available of ``fork``, ``forkserver``, ``spawn``.
         heartbeat_period: seconds between worker heartbeats while a
-            chunk is executing (``0`` disables the beat thread).
-        heartbeat_timeout: if set, a busy worker that has not beaten
-            for this many seconds is declared **hung** — killed with
-            SIGTERM→SIGKILL escalation, rebuilt, and its in-flight
-            chunk re-dispatched to a healthy worker.  Must exceed
-            ``heartbeat_period``.  ``None`` (default) disables hung
-            detection (the per-chunk deadline still applies).
+            chunk is executing.  A busy worker silent for
+            ``_HANG_BEATS * heartbeat_period`` seconds (10 s at the
+            default) is declared **hung** — killed with SIGTERM→SIGKILL
+            escalation, rebuilt, and its in-flight chunk re-dispatched
+            to a healthy worker.
         max_redispatches: how many times one job may be re-dispatched
             after its worker died or hung mid-chunk before the job is
             failed outright (a poison-pill backstop).
@@ -423,13 +398,8 @@ class ParallelExecutor:
         *,
         master_seed: int = 0,
         retries: int = 1,
-        job_timeout: Optional[float] = None,
-        grace: float = 1.0,
         chunk_size: Optional[int] = None,
-        target_chunk_seconds: float = 0.05,
-        start_method: Optional[str] = None,
         heartbeat_period: float = 0.5,
-        heartbeat_timeout: Optional[float] = None,
         max_redispatches: int = 2,
         shutdown_grace: float = 2.0,
         chaos: Any = None,
@@ -438,29 +408,12 @@ class ParallelExecutor:
             raise ExecutionError(f"workers must be >= 1, got {workers}")
         if retries < 0:
             raise ExecutionError(f"retries must be >= 0, got {retries}")
-        if grace < 0:
-            raise ExecutionError(f"grace must be >= 0, got {grace}")
         if chunk_size is not None and chunk_size < 1:
             raise ExecutionError(f"chunk_size must be >= 1, got {chunk_size}")
-        if target_chunk_seconds <= 0:
+        if heartbeat_period <= 0:
             raise ExecutionError(
-                f"target_chunk_seconds must be > 0, got {target_chunk_seconds}"
+                f"heartbeat_period must be > 0, got {heartbeat_period}"
             )
-        if heartbeat_period < 0:
-            raise ExecutionError(
-                f"heartbeat_period must be >= 0, got {heartbeat_period}"
-            )
-        if heartbeat_timeout is not None:
-            if heartbeat_period <= 0:
-                raise ExecutionError(
-                    "heartbeat_timeout requires heartbeat_period > 0 "
-                    "(workers must beat for the parent to miss beats)"
-                )
-            if heartbeat_timeout <= heartbeat_period:
-                raise ExecutionError(
-                    f"heartbeat_timeout ({heartbeat_timeout}) must exceed "
-                    f"heartbeat_period ({heartbeat_period})"
-                )
         if max_redispatches < 0:
             raise ExecutionError(
                 f"max_redispatches must be >= 0, got {max_redispatches}"
@@ -472,13 +425,9 @@ class ParallelExecutor:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.master_seed = master_seed
         self.retries = retries
-        self.job_timeout = job_timeout
-        self.grace = grace
         self.chunk_size = chunk_size
-        self.target_chunk_seconds = target_chunk_seconds
-        self.start_method = _pick_start_method(start_method)
+        self.start_method = _pick_start_method()
         self.heartbeat_period = heartbeat_period
-        self.heartbeat_timeout = heartbeat_timeout
         self.max_redispatches = max_redispatches
         self.shutdown_grace = shutdown_grace
         self.chaos = chaos
@@ -514,31 +463,28 @@ class ParallelExecutor:
                     f"worker pid={handle.proc.pid} failed its warm-up ping"
                 )
 
-    def close(self, grace: Optional[float] = None) -> None:
+    def close(self) -> None:
         """Shut the worker pool down (idempotent, bounded).
 
         Teardown escalates pool-wide: every worker gets the stop frame
-        at once, then the whole pool shares one ``grace`` join window,
-        then stragglers get SIGTERM and one more shared window, then
-        SIGKILL.  Total wall time is bounded by ``~2 * grace`` no matter
-        how many workers ignore SIGTERM — a single sleep-forever worker
-        can no longer stall interpreter exit (this runs from an atexit
-        hook for shared pools).  Each SIGKILL escalation is counted in
+        at once, then the whole pool shares one ``shutdown_grace`` join
+        window, then stragglers get SIGTERM and one more shared window,
+        then SIGKILL.  Total wall time is bounded by
+        ``~2 * shutdown_grace`` no matter how many workers ignore
+        SIGTERM.  Each SIGKILL escalation is counted in
         ``supervisor.escalations``.
         """
         handles, self._handles = self._handles, []
         if not handles:
             return
-        if grace is None:
-            grace = self.shutdown_grace
         for handle in handles:
             handle.request_stop()
-        deadline = perf_counter() + grace
+        deadline = perf_counter() + self.shutdown_grace
         stragglers = [h for h in handles if not h.join_until(deadline)]
         for handle in stragglers:
             if handle.proc.is_alive():
                 handle.proc.terminate()
-        deadline = perf_counter() + grace
+        deadline = perf_counter() + self.shutdown_grace
         for handle in stragglers:
             if not handle.join_until(deadline) and handle.proc.is_alive():
                 handle.proc.kill()
@@ -723,12 +669,7 @@ class ParallelExecutor:
         busy: Dict[Any, _WorkerHandle] = {}
         #: per-job redispatch count this round (worker death/hang only)
         redispatched: Dict[int, int] = {}
-
-        def fail_chunk(handle: _WorkerHandle, reason: str) -> None:
-            pid = handle.proc.pid or 0
-            for p in handle.chunk or ():
-                record((p[0], False, reason, None, pid, 0.0))
-            idle.append(self._replace_worker(handle))
+        hang_after = _HANG_BEATS * self.heartbeat_period
 
         def requeue(handle: _WorkerHandle, reason: str, *,
                     hang: bool = False) -> None:
@@ -791,23 +732,13 @@ class ParallelExecutor:
                     handle.ctx_token = token
                 handle.chunk = chunk
                 handle.last_beat = perf_counter()
-                if self.job_timeout is not None:
-                    handle.deadline = (perf_counter()
-                                       + self.job_timeout * len(chunk)
-                                       + self.grace)
                 busy[handle.conn] = handle
                 if self.chaos is not None:
                     self.chaos.on_dispatch(handle, self)
             if not busy:
                 break  # nothing in flight and nothing dispatchable
-            deadlines = [h.deadline for h in busy.values()
-                         if h.deadline is not None]
-            if self.heartbeat_timeout is not None:
-                deadlines += [h.last_beat + self.heartbeat_timeout
-                              for h in busy.values()]
-            timeout = None
-            if deadlines:
-                timeout = max(0.0, min(deadlines) - perf_counter())
+            oldest = min(h.last_beat for h in busy.values())
+            timeout = max(0.0, oldest + hang_after - perf_counter())
             ready = _mp_connection.wait(list(busy), timeout)
             for conn in ready:
                 handle = busy[conn]
@@ -826,39 +757,26 @@ class ParallelExecutor:
                     record(raw)
                     self._observe_cost(raw)
                 handle.chunk = None
-                handle.deadline = None
                 idle.append(handle)
-            # deadline sweep — a hung worker only poisons its own slot.
-            # Deadline overrun keeps fail semantics (the job *ran* too
-            # long); only death/missed-heartbeat paths re-dispatch.
+            # hang sweep — a busy worker whose beats stopped is hung
+            # (SIGSTOPped, deadlocked, or wedged in C code): a merely
+            # slow job would still beat, because beats come from the
+            # worker's supervision thread, not from job code.  A pipe
+            # with unread frames is not silent — the parent itself was
+            # busy (e.g. in ``on_result``) and reads them next pass.
             now = perf_counter()
             for conn in [c for c, h in busy.items()
-                         if h.deadline is not None and h.deadline <= now]:
+                         if h.last_beat + hang_after <= now
+                         and not c.poll()]:
                 handle = busy.pop(conn)
-                n = len(handle.chunk or ())
-                budget = (self.job_timeout or 0.0) * n + self.grace
-                fail_chunk(
+                silent = now - handle.last_beat
+                requeue(
                     handle,
-                    f"TimeoutError: chunk of {n} jobs exceeded its "
-                    f"{budget:.3f}s deadline "
-                    f"(job_timeout={self.job_timeout}, grace={self.grace})",
+                    f"worker hung: no heartbeat for {silent:.3f}s "
+                    f"({_HANG_BEATS} x heartbeat_period="
+                    f"{self.heartbeat_period})",
+                    hang=True,
                 )
-            # heartbeat sweep — a busy worker whose beats stopped is
-            # hung (SIGSTOPped, deadlocked, or livelocked in C code):
-            # a merely slow job would still beat, because beats come
-            # from the worker's supervision thread, not from job code
-            if self.heartbeat_timeout is not None:
-                now = perf_counter()
-                for conn in [c for c, h in busy.items()
-                             if h.last_beat + self.heartbeat_timeout <= now]:
-                    handle = busy.pop(conn)
-                    silent = now - handle.last_beat
-                    requeue(
-                        handle,
-                        f"worker hung: no heartbeat for {silent:.3f}s "
-                        f"(heartbeat_timeout={self.heartbeat_timeout})",
-                        hang=True,
-                    )
         return failed
 
     def _context_frame(self, context: Any) -> Tuple[Optional[int],
@@ -905,7 +823,7 @@ class ParallelExecutor:
 
         Fixed ``chunk_size`` wins if set.  Otherwise: no estimate yet →
         single-job probe chunks (the first round of measurements);
-        with an estimate → ``target_chunk_seconds`` worth of jobs,
+        with an estimate → :data:`_TARGET_CHUNK_SECONDS` worth of jobs,
         capped at a fair share of what remains so the tail of a batch
         still spreads across all workers.
         """
@@ -916,7 +834,7 @@ class ParallelExecutor:
             if est is None or est <= 0.0:
                 size = 1
             else:
-                size = max(1, int(self.target_chunk_seconds / est))
+                size = max(1, int(_TARGET_CHUNK_SECONDS / est))
                 fair = -(-len(pending) // max(1, self.workers * 2))
                 size = max(1, min(size, fair))
         size = min(size, len(pending))
@@ -979,10 +897,9 @@ def plan_shards(n_items: int, shard_size: int) -> List[Tuple[int, int]]:
     ]
 
 
-# -- shared executors ----------------------------------------------------
+# -- shared inline executor ----------------------------------------------
 
 _INLINE_EXECUTOR: Optional[ParallelExecutor] = None
-_WARM_EXECUTORS: Dict[tuple, ParallelExecutor] = {}
 
 
 def get_inline_executor() -> ParallelExecutor:
@@ -997,34 +914,3 @@ def get_inline_executor() -> ParallelExecutor:
     if _INLINE_EXECUTOR is None:
         _INLINE_EXECUTOR = ParallelExecutor(workers=1)
     return _INLINE_EXECUTOR
-
-
-def warm_executor(workers: Optional[int] = None, **kwargs: Any
-                  ) -> ParallelExecutor:
-    """Process-wide warm executor shared across campaigns.
-
-    Returns (creating on first use) a cached :class:`ParallelExecutor`
-    keyed by ``(workers, start_method)``; its pool stays warm between
-    calls and is shut down at interpreter exit.  Per-campaign seeds go
-    through ``run_jobs(..., master_seed=...)`` — do not pass
-    ``master_seed`` here.
-    """
-    if "master_seed" in kwargs:
-        raise ExecutionError(
-            "warm_executor() is shared across campaigns; pass master_seed "
-            "per run (run_jobs(jobs, master_seed=...)) instead"
-        )
-    resolved = workers if workers is not None else (os.cpu_count() or 1)
-    key = (resolved, kwargs.get("start_method"))
-    executor = _WARM_EXECUTORS.get(key)
-    if executor is None:
-        executor = ParallelExecutor(resolved, **kwargs)
-        _WARM_EXECUTORS[key] = executor
-    return executor
-
-
-@atexit.register
-def _shutdown_shared_executors() -> None:  # pragma: no cover - exit hook
-    for executor in list(_WARM_EXECUTORS.values()):
-        executor.close()
-    _WARM_EXECUTORS.clear()

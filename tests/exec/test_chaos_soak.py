@@ -32,8 +32,7 @@ def chaotic_executor(seed):
     return ParallelExecutor(
         workers=2,
         chunk_size=1,
-        heartbeat_period=0.05,
-        heartbeat_timeout=2.0,
+        heartbeat_period=0.1,  # hung after 20 x 0.1 = 2.0 s of silence
         max_redispatches=8,
         shutdown_grace=0.3,
         chaos=ExecChaos(seed=seed, kill_every=5, eof_every=7),

@@ -11,6 +11,7 @@ import os
 import pickle
 import signal
 import time
+from contextlib import contextmanager
 from time import perf_counter
 
 import pytest
@@ -35,6 +36,26 @@ def _proc_state(pid):
 
 def _counter_value(executor, name):
     return executor.supervisor.snapshot()["counter"][name]["value"]
+
+
+@contextmanager
+def fails_within(seconds):
+    """Turn a blocked body into a failure after ``seconds``.
+
+    A pool that never detects a hung worker waits on its pipe forever;
+    SIGALRM interrupts that wait so the test fails instead of stalling
+    the suite (forked workers do not inherit the pending alarm).
+    """
+    def expire(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class StallOnceJob(SimJob):
@@ -93,18 +114,6 @@ class IgnoreTermSleepJob(SimJob):
 
 
 class TestValidation:
-    def test_heartbeat_timeout_must_exceed_period(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(
-                workers=2, heartbeat_period=0.5, heartbeat_timeout=0.5
-            )
-
-    def test_heartbeat_timeout_requires_a_period(self):
-        with pytest.raises(ExecutionError):
-            ParallelExecutor(
-                workers=2, heartbeat_period=0.0, heartbeat_timeout=1.0
-            )
-
     def test_negative_knobs_rejected(self):
         with pytest.raises(ExecutionError):
             ParallelExecutor(workers=2, max_redispatches=-1)
@@ -112,20 +121,21 @@ class TestValidation:
             ParallelExecutor(workers=2, shutdown_grace=-0.1)
         with pytest.raises(ExecutionError):
             ParallelExecutor(workers=2, heartbeat_period=-0.1)
+        with pytest.raises(ExecutionError, match="heartbeat_period"):
+            ParallelExecutor(workers=2, heartbeat_period=0.0)
 
 
 class TestHangDetection:
     def test_hung_worker_is_killed_and_chunk_redispatched(self, tmp_path):
         marker = str(tmp_path / "stalled")
-        ex = ParallelExecutor(
-            workers=2, heartbeat_period=0.05, heartbeat_timeout=0.4,
-            shutdown_grace=0.3,
-        )
+        # 20 silent beats of 0.02 s: hung after 0.4 s without a beat
+        ex = ParallelExecutor(workers=2, heartbeat_period=0.02)
         try:
             ex.warm_up()
             jobs = [FunctionJob(f"j{i}", echo, i) for i in range(8)]
             jobs.append(StallOnceJob("stall", marker))
-            report = ex.run_jobs(jobs)
+            with fails_within(20):
+                report = ex.run_jobs(jobs)
             assert report.failed == 0
             stall = report.results[-1]
             assert stall.value == f"recovered:{stall.seed}"
@@ -139,19 +149,47 @@ class TestHangDetection:
             ex.close()
 
     def test_slow_but_beating_job_is_not_declared_hung(self):
+        # hung after 20 x 0.015 = 0.3 s of silence
         ex = ParallelExecutor(
-            workers=2, heartbeat_period=0.05, heartbeat_timeout=0.3,
-            shutdown_grace=0.3,
+            workers=2, heartbeat_period=0.015, shutdown_grace=0.3,
         )
         try:
             ex.warm_up()
             from .test_warm_pool import SleepJob
 
-            # sleeps twice the heartbeat timeout: a watchdog keyed on
-            # job runtime would kill it; one keyed on beats must not
+            # sleeps twice the silence budget: a watchdog keyed on job
+            # runtime would kill it; one keyed on beats must not
             report = ex.run_jobs([SleepJob("slow", 0.6)])
             assert report.failed == 0
             assert report.results[0].value == "slept"
+            assert _counter_value(ex, "pool.supervisor.hangs") == 0
+        finally:
+            ex.close()
+
+    def test_parent_stall_is_not_read_as_a_silent_worker(self):
+        """Beats queued while the parent sits in ``on_result`` longer
+        than the silence budget still count: the beating worker is not
+        declared hung."""
+        ex = ParallelExecutor(
+            workers=2, chunk_size=1, heartbeat_period=0.02,
+            shutdown_grace=0.3,
+        )
+        stalled = []
+
+        def stall_once(result):
+            if not stalled:
+                stalled.append(result.job_id)
+                time.sleep(0.8)  # twice the 0.4 s budget
+
+        try:
+            ex.warm_up()
+            from .test_warm_pool import SleepJob
+
+            jobs = [FunctionJob("quick", echo, 1), SleepJob("slow", 1.5)]
+            with fails_within(20):
+                report = ex.run_jobs(jobs, on_result=stall_once)
+            assert report.failed == 0
+            assert stalled == ["quick"]
             assert _counter_value(ex, "pool.supervisor.hangs") == 0
         finally:
             ex.close()
@@ -214,10 +252,8 @@ class TestBoundedTeardown:
     def test_close_escalates_past_sigterm_ignoring_worker(self):
         """A sleep-forever worker that ignores SIGTERM must not stall
         shutdown: close() is bounded by ~2x shutdown_grace and SIGKILLs
-        the straggler (the atexit-hook regression)."""
-        ex = ParallelExecutor(
-            workers=2, shutdown_grace=0.3, heartbeat_period=0.0,
-        )
+        the straggler."""
+        ex = ParallelExecutor(workers=2, shutdown_grace=0.3)
         ex.warm_up()
         victim = ex._handles[0]
         payload = [(0, IgnoreTermSleepJob(), 0, 0)]
