@@ -119,11 +119,17 @@ class FaultInjector:
             return self
         self._validate_targets()
         base = self.sim.now
-        occurrence = self.rng.stream(f"{self.stream}.occurrence")
+        # created on first use: only a jittered spec draws from it, and
+        # streams are independent by name, so no other draw moves
+        occurrence = None
         for fault in self.plan.faults:
             for k in range(fault.count):
                 when = base + fault.start + k * fault.period
                 if fault.jitter > 0:
+                    if occurrence is None:
+                        occurrence = self.rng.stream(
+                            f"{self.stream}.occurrence"
+                        )
                     when += occurrence.uniform(0.0, fault.jitter)
                 self._scheduled.append(
                     self.sim.at(when, self._activate, fault, k)
@@ -294,13 +300,6 @@ class FaultInjector:
             self._frame_streams[bus_name] = stream
         return stream
 
-    def _task_stream(self, core_name: str):
-        stream = self._task_streams.get(core_name)
-        if stream is None:
-            stream = self.rng.stream(f"{self.stream}.task.{core_name}")
-            self._task_streams[core_name] = stream
-        return stream
-
     def _on_bus_frame(self, bus: BusModel, frame: Frame) -> Optional[tuple]:
         """``BusModel._fault_hook`` — first matching active spec wins."""
         specs = self._active_bus_faults.get(bus.name)
@@ -328,21 +327,31 @@ class FaultInjector:
         """``Core.fault_perturb`` — overruns stack multiplicatively,
         jitter delays add up."""
         release_delay = 0.0
-        specs = self._active_core_faults.get(core.name)
+        name = core.name
+        specs = self._active_core_faults.get(name)
         if not specs:
             return scaled_wcet, release_delay
-        stream = self._task_stream(core.name)
+        stream = self._task_streams.get(name)
+        if stream is None:
+            stream = self._task_streams[name] = self.rng.stream(
+                f"{self.stream}.task.{name}"
+            )
         now = self.sim.now
+        m = self._m_events
+        timeline = self.timeline
         for spec in specs:
             if spec.probability < 1.0 and stream.random() >= spec.probability:
                 continue
-            self._m_events.inc()
+            # Counter.inc() and _record(), inline: once per perturbed
+            # activation of every fleet vehicle
+            if m._enabled:
+                m.value += 1.0
             if spec.kind == KIND_TASK_OVERRUN:
                 scaled_wcet *= 1.0 + spec.magnitude
-                self._record(now, spec.kind, core.name, "overrun")
+                timeline.append((now, spec.kind, name, "overrun"))
             else:
                 release_delay += stream.uniform(0.0, spec.magnitude)
-                self._record(now, spec.kind, core.name, "jitter")
+                timeline.append((now, spec.kind, name, "jitter"))
         return scaled_wcet, release_delay
 
     # -- queries ------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..errors import SchedulingError
-from ..sim import PRIORITY_URGENT, ScheduledCall, Simulator
+from ..sim import PRIORITY_NORMAL, PRIORITY_URGENT, ScheduledCall, Simulator
 from .task import Job, TaskSpec
 
 
@@ -111,38 +111,48 @@ class Core:
         if self.halted:
             return
         self.ready.append(job)
-        self._m_releases.inc()
-        sim = self.sim
-        if sim.tracer.enabled:
-            sim.trace(
-                "os.release",
-                core=self.name,
-                task=job.task.name,
-                job=job.job_id,
-                deadline=job.absolute_deadline,
-            )
+        m = self._m_releases
+        if m._enabled:
+            m.value += 1.0
+        if self.sim.tracer.enabled:
+            self._trace_release(job)
         self._reschedule()
 
     def submit_task_activation(self, task: TaskSpec, scaled_wcet: float) -> Job:
         """Create and release a job for ``task`` at the current instant."""
+        sim = self.sim
+        now = sim.now
         release_delay = 0.0
         perturb = self.fault_perturb
         if perturb is not None:
             scaled_wcet, release_delay = perturb(task, scaled_wcet)
-        job = Job(
-            task=task,
-            release_time=self.sim.now,
-            absolute_deadline=self.sim.now + task.effective_deadline,
-            remaining=scaled_wcet,
-            job_id=self.sim.next_job_id(),
-        )
+        job = Job(task, now, now + task.effective_deadline, scaled_wcet,
+                  sim.next_job_id())
         if release_delay > 0.0:
             # the deadline stays anchored at the nominal activation, so
             # injected release jitter produces genuine deadline pressure
-            self.sim.schedule(release_delay, self.submit, job)
-        else:
-            self.submit(job)
+            sim.post(release_delay, self.submit, job)
+            return job
+        # submit(job), inline: one release per activation is the hot path
+        if self.halted:
+            return job
+        self.ready.append(job)
+        m = self._m_releases
+        if m._enabled:
+            m.value += 1.0
+        if sim.tracer.enabled:
+            self._trace_release(job)
+        self._reschedule()
         return job
+
+    def _trace_release(self, job: Job) -> None:
+        self.sim.trace(
+            "os.release",
+            core=self.name,
+            task=job.task.name,
+            job=job.job_id,
+            deadline=job.absolute_deadline,
+        )
 
     def set_clock_drift(self, drift: float) -> None:
         """Set (or clear, with ``0.0``) this core's relative clock drift.
@@ -201,10 +211,11 @@ class Core:
     def _reschedule(self) -> None:
         if self.halted:
             return
-        self._sync_current()
+        current = self.current
+        if current is not None:
+            self._sync_current()
         # pick() only reads its list, so the ready queue goes in as is
         # when nothing is running
-        current = self.current
         candidates = self.ready if current is None else [*self.ready, current]
         choice = self.policy.pick(candidates, self.sim.now)
         if choice is not None and choice is self.current:
@@ -260,16 +271,23 @@ class Core:
             )
 
     def _start_running(self, job: Job) -> None:
+        sim = self.sim
+        now = sim.now
         if job.start_time is None:
-            job.start_time = self.sim.now
-        self._run_started_at = self.sim.now
+            job.start_time = now
+        self._run_started_at = now
         run_for = job.remaining
         quantum = self.policy.quantum
-        self._cancel_timers()
+        if self._completion is not None or self._quantum_call is not None:
+            self._cancel_timers()
         if quantum is not None and quantum < run_for:
-            self._quantum_call = self.sim.schedule(quantum, self._quantum_expired)
+            self._quantum_call = sim.schedule(quantum, self._quantum_expired)
         else:
-            self._completion = self.sim.schedule(run_for, self._complete)
+            # sim.schedule(run_for, ...) without its frame: run_for is
+            # never negative, and now + 0.0 is now
+            self._completion = sim.queue.push(
+                now + run_for, self._complete, (), PRIORITY_NORMAL
+            )
 
     def _cancel_timers(self) -> None:
         # the core holds the only reference to these handles, so a
@@ -323,23 +341,28 @@ class Core:
         self._reschedule()
 
     def _finish_job(self, job: Job) -> None:
-        job.finish_time = self.sim.now
-        self.completed_jobs.append(job)
-        limit = self.job_history_limit
-        if limit is not None and len(self.completed_jobs) > limit:
-            del self.completed_jobs[: len(self.completed_jobs) - limit]
-        self._m_response.observe(job.response_time)
-        missed = job.missed_deadline
-        if missed:
-            self._m_misses.inc()
         sim = self.sim
+        finish = job.finish_time = sim.now
+        completed = self.completed_jobs
+        completed.append(job)
+        limit = self.job_history_limit
+        if limit is not None and len(completed) > limit:
+            del completed[: len(completed) - limit]
+        # Job.response_time and Job.missed_deadline, without their frames
+        response = finish - job.release_time
+        self._m_response.observe(response)
+        missed = finish > job.absolute_deadline + 1e-12
+        if missed:
+            m = self._m_misses
+            if m._enabled:
+                m.value += 1.0
         if sim.tracer.enabled:
             sim.trace(
                 "os.done",
                 core=self.name,
                 task=job.task.name,
                 job=job.job_id,
-                response=job.response_time,
+                response=response,
                 missed=missed,
                 jitter=job.start_jitter,
             )
@@ -406,9 +429,12 @@ class PeriodicSource:
             since = self.core.clock_drift_since
             if when > since:
                 when = since + (when - since) * (1.0 + drift)
-        # nobody keeps the handle: release it to the event free list
-        self.sim.at(
-            max(when, self.sim.now), self._activate, priority=PRIORITY_URGENT
+        # pushed at the absolute instant: converting it to a delay would
+        # not round-trip (``now + (when - now)`` is not always ``when``);
+        # nobody keeps the handle, so it returns to the event free list
+        now = self.sim.now
+        self.sim.queue.push(
+            now if now > when else when, self._activate, (), PRIORITY_URGENT
         ).pooled = True
 
     def _activate(self) -> None:
@@ -420,9 +446,16 @@ class PeriodicSource:
         if self.activation_jitter > 0 and self.jitter_draw is not None:
             extra = self.activation_jitter * self.jitter_draw()
         if extra > 0:
-            self.sim.schedule(extra, self._release_job)
+            self.sim.post(extra, self._release_job)
         else:
-            self._release_job()
+            # _release_job(), inline: the unjittered release is the hot path
+            core = self.core
+            job = core.submit_task_activation(self.task, self.scaled_wcet)
+            self.jobs.append(job)
+            self.released += 1
+            limit = core.job_history_limit
+            if limit is not None and len(self.jobs) > limit:
+                self._trim(limit)
         self._activation_index += 1
         self._schedule_activation()
 

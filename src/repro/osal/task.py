@@ -120,6 +120,8 @@ class Job:
     def finished(self) -> bool:
         return self.finish_time is not None
 
+    # Core._finish_job computes response_time and missed_deadline with
+    # these same float expressions inline; change both or neither
     @property
     def response_time(self) -> float:
         if self.finish_time is None:

@@ -357,3 +357,67 @@ class TestDeterminism:
 
     def test_different_seed_gives_different_timeline(self):
         assert self._run(42) != self._run(43)
+
+
+class TestLazyOccurrenceStream:
+    """Only a jittered spec draws from ``faults.occurrence``, so the
+    stream is created on first use; the armed instants are those of an
+    injector that created it up front."""
+
+    JITTERED = FaultPlan(name="jittered", faults=(
+        FaultSpec(kind="task_overrun", target="core0", start=0.01,
+                  duration=0.004, magnitude=0.5, count=4, period=0.02,
+                  jitter=0.003),
+        FaultSpec(kind="task_jitter", target="core0", start=0.0,
+                  duration=0.012, magnitude=0.002),
+        FaultSpec(kind="clock_drift", target="core0", start=0.03,
+                  duration=0.02, magnitude=0.1, count=2, period=0.04,
+                  jitter=0.005),
+    ))
+    #: (time, kind, target, action) of the seed-3 run, recorded on an
+    #: injector that created the occurrence stream at every arm()
+    TIMELINE = [
+        (0.0, 'task_jitter', 'core0', 'window_open'),
+        (0.005, 'task_jitter', 'core0', 'jitter'),
+        (0.01, 'task_jitter', 'core0', 'jitter'),
+        (0.010877046191153338, 'task_overrun', 'core0', 'window_open'),
+        (0.012, 'task_jitter', 'core0', 'window_close'),
+        (0.014877046191153338, 'task_overrun', 'core0', 'window_close'),
+        (0.03197467488041169, 'task_overrun', 'core0', 'window_open'),
+        (0.03230314536094336, 'clock_drift', 'core0', 'drift_on'),
+        (0.035, 'task_overrun', 'core0', 'overrun'),
+        (0.035974674880411686, 'task_overrun', 'core0', 'window_close'),
+        (0.052303145360943354, 'clock_drift', 'core0', 'drift_off'),
+        (0.052364404240196026, 'task_overrun', 'core0', 'window_open'),
+        (0.05636440424019602, 'task_overrun', 'core0', 'window_close'),
+        (0.07045769185031908, 'task_overrun', 'core0', 'window_open'),
+        (0.07185764675384629, 'clock_drift', 'core0', 'drift_on'),
+        (0.07445769185031909, 'task_overrun', 'core0', 'window_close'),
+        (0.09185764675384629, 'clock_drift', 'core0', 'drift_off'),
+    ]
+
+    def _run(self, plan):
+        sim, core = core_world()
+        PeriodicSource(sim, core, TaskSpec(name="t", period=0.005,
+                                           wcet=0.001), horizon=0.1)
+        injector = FaultInjector(sim, plan, 3, cores=(core,)).arm()
+        sim.run()
+        return injector
+
+    def test_jittered_plan_arms_the_golden_instants(self):
+        injector = self._run(self.JITTERED)
+        assert "faults.occurrence" in injector.rng._streams
+        assert injector.timeline == self.TIMELINE
+
+    def test_jitter_free_plan_leaves_no_occurrence_stream(self):
+        plan = FaultPlan(name="steady", faults=tuple(
+            FaultSpec(kind=spec.kind, target=spec.target, start=spec.start,
+                      duration=spec.duration, magnitude=spec.magnitude,
+                      probability=spec.probability, count=spec.count,
+                      period=spec.period)
+            for spec in self.JITTERED.faults
+        ))
+        injector = self._run(plan)
+        assert injector.timeline
+        assert "faults.occurrence" not in injector.rng._streams
+        assert "faults.task.core0" in injector.rng._streams
